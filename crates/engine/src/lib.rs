@@ -31,9 +31,6 @@
 //!   answered by the memo cache as zero — and keeps the batch on the
 //!   calling thread below [`EngineConfig::min_parallel_cost`]. Results
 //!   are bitwise identical either way, only the schedule changes.
-//! * **Results stream.** [`Engine::solve_batch_with`] invokes a callback
-//!   as each outcome lands (from the worker that produced it), so callers
-//!   can report progress or forward results while the batch continues.
 
 pub mod cache;
 
@@ -67,7 +64,7 @@ impl<'a> BatchItem<'a> {
 
     /// Instance part of the cache key: a 128-bit structural digest of
     /// apps + platform. Computed once per *distinct* instance per batch —
-    /// see [`Engine::solve_batch_with`].
+    /// see [`Engine::solve_batch`].
     fn instance_key(&self) -> u128 {
         hash_instance(self.apps, self.platform)
     }
@@ -196,8 +193,9 @@ pub fn panic_details(reason: &str) -> Option<PanicDetails> {
     })
 }
 
-/// Stringify a caught panic payload.
-fn panic_payload(panic: &(dyn std::any::Any + Send)) -> String {
+/// Stringify a caught panic payload (the one copy every layer's panic
+/// guard uses).
+pub fn panic_payload(panic: &(dyn std::any::Any + Send)) -> String {
     panic
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -285,20 +283,9 @@ impl Engine {
         self.solve_item_guarded(None, &item, ikey, None, scratch)
     }
 
-    /// Solve a batch; `results[i]` answers `items[i]`.
+    /// Solve a batch; `results[i]` answers `items[i]`, identical for
+    /// every thread count.
     pub fn solve_batch(&self, items: &[BatchItem<'_>]) -> Vec<SolveOutcome> {
-        self.solve_batch_with(items, |_, _| {})
-    }
-
-    /// [`Engine::solve_batch`] with a streaming callback, invoked once per
-    /// item — from the worker thread that solved it, as soon as its
-    /// outcome lands (completion order, not item order). The returned
-    /// vector is still index-ordered and identical for every thread count.
-    pub fn solve_batch_with(
-        &self,
-        items: &[BatchItem<'_>],
-        on_result: impl Fn(usize, &SolveOutcome) + Sync,
-    ) -> Vec<SolveOutcome> {
         let n = items.len();
         if n == 0 {
             return Vec::new();
@@ -314,10 +301,7 @@ impl Engine {
                 .zip(&plans)
                 .enumerate()
                 .map(|(i, ((item, ikey), planned))| {
-                    let out =
-                        self.solve_item_guarded(Some(i), item, *ikey, planned.as_ref(), &mut scratch);
-                    on_result(i, &out);
-                    out
+                    self.solve_item_guarded(Some(i), item, *ikey, planned.as_ref(), &mut scratch)
                 })
                 .collect();
         }
@@ -325,47 +309,34 @@ impl Engine {
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<SolveOutcome>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
-        // Workers catch their own panics item-by-item (solve_item_guarded),
-        // so nothing should unwind through the scope join; the outer
-        // catch_unwind is belt-and-braces for a panic in the caller's
-        // `on_result` — any slots left unfilled degrade to typed outcomes
-        // below instead of aborting the process.
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            crossbeam::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|_| {
-                        let mut scratch = RouterScratch::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let out = self.solve_item_guarded(
-                                Some(i),
-                                &items[i],
-                                instance_keys[i],
-                                plans[i].as_ref(),
-                                &mut scratch,
-                            );
-                            on_result(i, &out);
-                            *slots[i].lock() = Some(out);
+        // Workers catch their own panics item by item
+        // (`solve_item_guarded`), so the scope joins cleanly with every
+        // slot filled.
+        crossbeam::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|_| {
+                    let mut scratch = RouterScratch::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
                         }
-                    });
-                }
-            })
-        }));
+                        let out = self.solve_item_guarded(
+                            Some(i),
+                            &items[i],
+                            instance_keys[i],
+                            plans[i].as_ref(),
+                            &mut scratch,
+                        );
+                        *slots[i].lock() = Some(out);
+                    }
+                });
+            }
+        })
+        .expect("batch workers catch their own panics");
         slots
             .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner().unwrap_or_else(|| SolveOutcome::Unsupported {
-                    reason: structured_panic_reason(
-                        Some(i),
-                        &items[i],
-                        "worker terminated before answering this item",
-                    ),
-                })
-            })
+            .map(|slot| slot.into_inner().expect("every batch item is answered"))
             .collect()
     }
 

@@ -16,8 +16,8 @@
 //! * `solve <spec.json> [--check] [--threads N] [--datasets N]` — solve
 //!   one `SolveRequest` (instance + `ProblemSpec`) through the router and
 //!   print the `SolveOutcome` as JSON;
-//! * `batch <specs.jsonl> [--check] [--threads N] [--datasets N]` — run a
-//!   JSONL batch through the `cpo_engine` work-stealing pool; one outcome
+//! * `batch <specs.jsonl> [--check] [--threads N] [--datasets N]` — drain
+//!   a JSONL file through the `serve` pipeline (`serve_cli`); one outcome
 //!   line per input line, in input order, never aborting on per-item
 //!   failures;
 //! * `spec-example [batch|large|benes]` — print the runnable example
@@ -60,7 +60,7 @@ use cpo_model::gadgets::*;
 use cpo_model::generator::*;
 use cpo_model::prelude::*;
 use cpo_experiments::serve_cli;
-use cpo_experiments::trust::{self, check_outcome, close, maybe_corrupt};
+use cpo_experiments::trust::{self, bundle_source, check_outcome, close, maybe_corrupt};
 use cpo_simulator::simulate;
 use std::time::Instant;
 
@@ -964,7 +964,8 @@ fn dump() {
 }
 
 // ---------------------------------------------------------------------------
-// solve / batch: the typed front door (ProblemSpec → router → engine)
+// solve: the typed front door (ProblemSpec → router → engine); `batch`
+// drains through the serve pipeline in `serve_cli`
 // ---------------------------------------------------------------------------
 
 fn engine_config(threads: Option<usize>) -> cpo_engine::EngineConfig {
@@ -986,140 +987,40 @@ fn cmd_solve(path: &str, check: bool, threads: Option<usize>, datasets: usize) {
     let cfg = engine_config(threads);
     let engine = cpo_engine::Engine::new(cfg.clone());
     let out = maybe_corrupt(engine.solve(&req.apps, &req.platform, &req.problem));
-    println!("{}", out.to_json().unwrap_or_else(|_| unrepresentable(&out)));
-    export_on_panic(&out, None, bundle_source(&req, &text), &cfg, datasets);
+    let json = out.to_json().or_else(|_| serve_cli::unrepresentable(out.kind()).to_json_compact());
+    println!("{}", json.expect("a plain string reason serializes"));
+    if let SolveOutcome::Unsupported { reason } = &out {
+        if let Some(details) = cpo_engine::panic_details(reason) {
+            // A panic is always worth keeping, `--check` or not.
+            let message = format!("engine panic: {}", details.payload);
+            let source = bundle_source(&req, Some(&text));
+            export(FailureKind::EnginePanic, message, source, &cfg, datasets);
+        }
+    }
     if check {
         match check_outcome(&req, &out, datasets) {
             Ok(()) => eprintln!("check: ok ({})", out.kind()),
             Err(e) => {
                 eprintln!("check: MISMATCH: {e}");
-                export_on_mismatch(&e, None, bundle_source(&req, &text), &cfg, datasets);
+                let source = bundle_source(&req, Some(&text));
+                export(FailureKind::CheckMismatch, e, source, &cfg, datasets);
                 std::process::exit(1);
             }
         }
     }
 }
 
-/// The stand-in JSON line for an outcome the writer refuses (non-finite
-/// values): still one typed outcome per input line, never a crash.
-fn unrepresentable(out: &SolveOutcome) -> String {
-    SolveOutcome::Unsupported {
-        reason: format!("{} outcome not JSON-representable (non-finite values)", out.kind()),
-    }
-    .to_json_compact()
-    .expect("plain string reason serializes")
-}
-
-/// The bundle source for a request read from disk: the typed request when
-/// it can re-serialize, otherwise the original text verbatim (a poisoned
-/// instance with infinite values parses but will not re-serialize).
-fn bundle_source(req: &SolveRequest, raw: &str) -> BundleSource {
-    if req.to_json_compact().is_ok() {
-        BundleSource::Request(req.clone())
-    } else {
-        BundleSource::RawSpec(raw.trim().to_string())
-    }
-}
-
-/// If the outcome is a structured engine-panic backstop, freeze the
-/// request into a repro bundle (unconditionally — a panic is always worth
-/// keeping, `--check` or not).
-fn export_on_panic(
-    out: &SolveOutcome,
-    item: Option<usize>,
+/// Freeze a `solve` failure into a repro bundle.
+fn export(
+    kind: FailureKind,
+    message: String,
     source: BundleSource,
     cfg: &cpo_engine::EngineConfig,
     datasets: usize,
 ) {
-    if let SolveOutcome::Unsupported { reason } = out {
-        if let Some(details) = cpo_engine::panic_details(reason) {
-            match trust::export_bundle(
-                FailureKind::EnginePanic,
-                format!("engine panic: {}", details.payload),
-                item.or(details.item_index),
-                source,
-                cfg,
-                datasets,
-            ) {
-                Ok(path) => eprintln!("repro bundle written: {}", path.display()),
-                Err(e) => eprintln!("could not write repro bundle: {e}"),
-            }
-        }
-    }
-}
-
-/// Freeze a `--check` mismatch into a repro bundle.
-fn export_on_mismatch(
-    message: &str,
-    item: Option<usize>,
-    source: BundleSource,
-    cfg: &cpo_engine::EngineConfig,
-    datasets: usize,
-) {
-    match trust::export_bundle(FailureKind::CheckMismatch, message.to_string(), item, source, cfg, datasets)
-    {
+    match trust::export_bundle(kind, message, None, source, cfg, datasets) {
         Ok(path) => eprintln!("repro bundle written: {}", path.display()),
         Err(e) => eprintln!("could not write repro bundle: {e}"),
-    }
-}
-
-fn cmd_batch(path: &str, check: bool, threads: Option<usize>, datasets: usize) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read `{path}`: {e}");
-        std::process::exit(2);
-    });
-    // A malformed line becomes that line's unsupported outcome — it never
-    // aborts the rest of the batch.
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let parsed: Vec<Result<SolveRequest, String>> = lines
-        .iter()
-        .map(|l| SolveRequest::from_json(l).map_err(|e| format!("unparseable request: {e}")))
-        .collect();
-    let requests: Vec<&SolveRequest> = parsed.iter().filter_map(|r| r.as_ref().ok()).collect();
-    let items: Vec<cpo_engine::BatchItem<'_>> = requests
-        .iter()
-        .map(|r| cpo_engine::BatchItem::new(&r.apps, &r.platform, &r.problem))
-        .collect();
-    let cfg = engine_config(threads);
-    let engine = cpo_engine::Engine::new(cfg.clone());
-    let solved = engine.solve_batch_with(&items, |i, out| {
-        eprintln!("[{}/{}] {}", i + 1, items.len(), out.kind());
-    });
-    // Stitch solver outcomes back into input order around the parse
-    // failures.
-    let mut solved_iter = solved.into_iter();
-    let outcomes: Vec<SolveOutcome> = parsed
-        .iter()
-        .map(|r| match r {
-            Ok(_) => maybe_corrupt(solved_iter.next().expect("one outcome per request")),
-            Err(reason) => SolveOutcome::Unsupported { reason: reason.clone() },
-        })
-        .collect();
-    let mut mismatches = 0usize;
-    for (i, out) in outcomes.iter().enumerate() {
-        println!("{}", out.to_json_compact().unwrap_or_else(|_| unrepresentable(out)));
-        if let Ok(req) = &parsed[i] {
-            export_on_panic(out, Some(i), bundle_source(req, lines[i]), &cfg, datasets);
-            if check {
-                if let Err(e) = check_outcome(req, out, datasets) {
-                    eprintln!("check: item {i} MISMATCH: {e}");
-                    export_on_mismatch(&e, Some(i), bundle_source(req, lines[i]), &cfg, datasets);
-                    mismatches += 1;
-                }
-            }
-        }
-    }
-    if check {
-        let stats = engine.cache_stats();
-        eprintln!(
-            "check: {} items, {mismatches} mismatches (cache: {} hits / {} misses)",
-            outcomes.len(),
-            stats.hits,
-            stats.misses
-        );
-        if mismatches > 0 {
-            std::process::exit(1);
-        }
     }
 }
 
@@ -1375,7 +1276,12 @@ fn main() {
             }
         },
         "batch" => match file {
-            Some(f) => cmd_batch(&f, check, threads, datasets),
+            Some(f) => std::process::exit(
+                serve_cli::cmd_batch(&f, check, threads, datasets).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    2
+                }),
+            ),
             None => {
                 eprintln!(
                     "usage: cpo-experiments batch <specs.jsonl> [--check] [--threads N] \

@@ -1,7 +1,8 @@
-//! The `cpo-experiments serve` subcommand: transport, stats printing and
-//! trust-subsystem wiring around [`cpo_serve::Server`].
+//! The `cpo-experiments serve` and `batch` subcommands: transport, stats
+//! printing and trust-subsystem wiring around one [`cpo_serve::Server`]
+//! pipeline.
 //!
-//! Ingress:
+//! `serve` ingress:
 //!
 //! * **stdin** — one JSONL `SolveRequest` per line; with `--once` the
 //!   server drains and exits 0 at EOF (the drill/bench mode).
@@ -16,19 +17,28 @@
 //! drain snapshot) go to stderr as compact JSON. SIGTERM/SIGINT start
 //! the same graceful drain as `shutdown`.
 //!
-//! Fault injection: `CPO_SERVE_CHAOS` (+ `CPO_SERVE_CHAOS_SEED`) — see
-//! [`cpo_serve::chaos`].
+//! `batch FILE` is an ordered drain of the same server: every non-blank
+//! line goes through `submit_line`, so its admission seq is its line
+//! index; each reply is rendered into slot `seq` and the slots are
+//! written in input order once the server has drained. A batch line is
+//! the reply's [`batch_outcome`].
+//!
+//! Both doors render through [`render`] and freeze failures through the
+//! same trust hooks. Fault injection: `CPO_SERVE_CHAOS` (+
+//! `CPO_SERVE_CHAOS_SEED`) — see [`cpo_serve::chaos`].
 
 use crate::trust;
-use cpo_model::bundle::BundleSource;
+use cpo_model::prelude::SolveOutcome;
 use cpo_serve::chaos::ChaosConfig;
 use cpo_serve::{
-    CheckHook, FailureHook, ReplySink, ServeConfig, Server, ServerHandle, ServerHooks,
+    CheckHook, FailureHook, ReplySink, ServeConfig, ServeOutcome, ServeReply, Server,
+    ServerHandle, ServerHooks, CHECK_MISMATCH,
 };
-use std::io::{BufRead, Write};
+use std::borrow::Cow;
+use std::io::{BufRead, BufWriter, Write};
 use std::os::unix::net::UnixListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// CLI options for `serve` (parsed by the binary's flag helpers).
 pub struct ServeCliOptions {
@@ -112,40 +122,83 @@ fn chaos_from_env() -> Result<Option<ChaosConfig>, String> {
     Ok((!cfg.is_inert()).then_some(cfg))
 }
 
-/// Wire the trust subsystem into the server's capture hooks.
-fn trust_hooks(check: bool, engine: cpo_engine::EngineConfig, datasets: usize) -> ServerHooks {
+/// Start the one pipeline both doors drive: `cfg` with the chaos plan
+/// from the environment, an engine that solves one request per call (the
+/// server's workers own the parallelism), and the trust subsystem wired
+/// into the capture hooks.
+fn start(
+    cfg: ServeConfig,
+    sink: ReplySink,
+    check: bool,
+    datasets: usize,
+) -> Result<Server, String> {
+    let engine = cpo_engine::EngineConfig { threads: 1, ..Default::default() };
     let export_cfg = engine.clone();
-    let failure: FailureHook = Arc::new(move |req, kind, message| {
-        // A request that cannot re-serialize (poisoned numerics) cannot
-        // be frozen; the strike still counts, only the export is skipped.
-        let Ok(_) = req.to_json_compact() else {
-            eprintln!("repro bundle skipped: request not re-serializable");
-            return false;
-        };
-        match trust::export_bundle(
-            kind,
-            message.to_string(),
-            None,
-            BundleSource::Request(req.clone()),
-            &export_cfg,
-            datasets,
-        ) {
-            Ok(path) => {
-                eprintln!("repro bundle written: {}", path.display());
-                true
-            }
-            Err(e) => {
-                eprintln!("could not write repro bundle: {e}");
-                false
-            }
+    let failure: FailureHook = Arc::new(move |seq, req, raw, kind, message| {
+        let source = trust::bundle_source(req, raw);
+        let item = Some(seq as usize);
+        let written =
+            trust::export_bundle(kind, message.to_string(), item, source, &export_cfg, datasets);
+        match &written {
+            Ok(path) => eprintln!("repro bundle written: {}", path.display()),
+            Err(e) => eprintln!("could not write repro bundle: {e}"),
         }
+        written.is_ok()
     });
-    let check_hook: Option<CheckHook> = check.then(|| {
+    let check: Option<CheckHook> = check.then(|| {
         let hook: CheckHook =
             Arc::new(move |req, out| trust::check_outcome(req, out, datasets));
         hook
     });
-    ServerHooks { failure: Some(failure), check: check_hook }
+    let cfg = ServeConfig { engine, chaos: chaos_from_env()?, ..cfg };
+    Ok(Server::start(cfg, sink, ServerHooks { failure: Some(failure), check }))
+}
+
+/// The stand-in for a `kind` solver outcome the JSON writer refuses
+/// (non-finite values): still one typed outcome per request, never a
+/// crash.
+pub fn unrepresentable(kind: &str) -> SolveOutcome {
+    SolveOutcome::Unsupported {
+        reason: format!("{kind} outcome not JSON-representable (non-finite values)"),
+    }
+}
+
+/// A reply as one `batch` line: the solver verdict itself, or, for a
+/// rejection, a deadline or a failure, an `Unsupported` outcome carrying
+/// the reply's own text.
+pub fn batch_outcome(outcome: &ServeOutcome) -> Cow<'_, SolveOutcome> {
+    let reason = match outcome {
+        ServeOutcome::Done { result } => return Cow::Borrowed(result),
+        ServeOutcome::Rejected { detail, .. } => detail.clone(),
+        ServeOutcome::Failed { reason } => reason.clone(),
+        ServeOutcome::Deadline { exceeded_at, budget_ms, elapsed_ms, estimated_ms } => format!(
+            "deadline of {budget_ms} ms exceeded at {exceeded_at:?}: {elapsed_ms} ms elapsed, \
+             {estimated_ms} ms estimated"
+        ),
+    };
+    Cow::Owned(SolveOutcome::Unsupported { reason })
+}
+
+/// The one reply renderer: `reply` as a `serve` line (the whole
+/// envelope) or as a `batch` line (its [`batch_outcome`]). A solver
+/// verdict the JSON writer refuses is replaced by its
+/// [`unrepresentable`] stand-in, seq and id kept.
+pub fn render(reply: &ServeReply, envelope: bool) -> String {
+    let line = if envelope {
+        reply.to_json_compact()
+    } else {
+        batch_outcome(&reply.outcome).to_json_compact()
+    };
+    line.unwrap_or_else(|_| {
+        let kind = match &reply.outcome {
+            ServeOutcome::Done { result } => result.kind(),
+            _ => "reply",
+        };
+        // The stand-in holds no floating-point value but the finite
+        // `elapsed_ms`, so this second render succeeds.
+        let outcome = ServeOutcome::Done { result: unrepresentable(kind) };
+        render(&ServeReply { outcome, ..reply.clone() }, envelope)
+    })
 }
 
 /// One line handled from any ingress. Returns `true` when the line asked
@@ -187,18 +240,6 @@ fn stats_line(handle: &ServerHandle) {
 
 /// Run the server; returns the process exit code.
 pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
-    let chaos = match chaos_from_env() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let engine = match opts.threads {
-        // Serve workers own the parallelism; the engine solves one
-        // request per worker call.
-        Some(_) | None => cpo_engine::EngineConfig { threads: 1, ..Default::default() },
-    };
     let cfg = ServeConfig {
         threads: opts.threads.unwrap_or(0),
         queue_capacity: opts.queue,
@@ -207,23 +248,26 @@ pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
         strikes: opts.strikes,
         deadline_downgrade: opts.downgrade,
         cost_units_per_ms: opts.cost_per_ms,
-        engine: engine.clone(),
-        chaos,
+        ..ServeConfig::default()
     };
     install_signal_handlers();
 
     // Replies: JSONL on stdout, one locked write per reply.
     let sink: ReplySink = Arc::new(move |reply| {
-        let line = reply
-            .to_json_compact()
-            .unwrap_or_else(|e| format!("{{\"error\":\"reply unserializable: {e}\"}}"));
+        let line = render(reply, true);
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
         let _ = writeln!(out, "{line}");
         let _ = out.flush();
     });
 
-    let server = Server::start(cfg, sink, trust_hooks(opts.check, engine, opts.datasets));
+    let server = match start(cfg, sink, opts.check, opts.datasets) {
+        Ok(server) => server,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
     eprintln!("serve: ready (queue={}, strikes={})", opts.queue, opts.strikes);
 
     // Socket ingress: one handler thread per connection.
@@ -311,4 +355,67 @@ pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
         let _ = std::fs::remove_file(path);
     }
     0
+}
+
+/// Run `batch FILE`: every non-blank line through the serve pipeline,
+/// one [`batch_outcome`] line per input line on stdout, in input order.
+/// Returns the exit code, 1 when some line failed (a `--check` mismatch
+/// or a worker panic), else 0; `Err` when the file cannot be read, the
+/// chaos plan is malformed or stdout cannot be written.
+pub fn cmd_batch(
+    path: &str,
+    check: bool,
+    threads: Option<usize>,
+    datasets: usize,
+) -> Result<i32, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    let cfg = ServeConfig {
+        threads: threads.unwrap_or(0),
+        // The whole file is in memory already: admit every line.
+        queue_capacity: lines.len(),
+        rate_per_sec: 0.0,
+        // Every line is submitted before most are answered, so
+        // quarantine at admission would race the workers and make the
+        // output depend on timing. The first strike of a digest still
+        // exports its bundle.
+        strikes: u32::MAX,
+        ..ServeConfig::default()
+    };
+    let slots: Arc<Vec<OnceLock<String>>> =
+        Arc::new(lines.iter().map(|_| OnceLock::new()).collect());
+    let sink: ReplySink = {
+        let slots = Arc::clone(&slots);
+        Arc::new(move |reply| {
+            if let ServeOutcome::Failed { reason } = &reply.outcome {
+                if let Some(e) = reason.strip_prefix(CHECK_MISMATCH) {
+                    eprintln!("check: item {} MISMATCH: {e}", reply.seq);
+                }
+            }
+            // Exactly one reply per seq: the slot is always empty here.
+            let _ = slots[reply.seq as usize].set(render(reply, false));
+        })
+    };
+    let server = start(cfg, sink, check, datasets)?;
+    for (i, line) in lines.iter().enumerate() {
+        let seq = server.submit_line(line);
+        assert_eq!(seq, i as u64, "a batch line's admission seq is its line index");
+    }
+    let snap = server.drain();
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    slots
+        .iter()
+        .try_for_each(|slot| writeln!(out, "{}", slot.get().expect("every line is answered")))
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write batch output: {e}"))?;
+    if check {
+        eprintln!(
+            "check: {} items, {} failed (cache: {} hits / {} misses)",
+            lines.len(),
+            snap.failed,
+            snap.cache.hits,
+            snap.cache.misses
+        );
+    }
+    Ok(i32::from(snap.failed > 0))
 }

@@ -5,7 +5,7 @@
 
 use cpo_model::prelude::*;
 use cpo_model::spec::Strategy;
-use cpo_serve::{ServeOutcome, ServeReply};
+use cpo_serve::{RejectReason, ServeOutcome, ServeReply};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -119,6 +119,119 @@ fn batch_garbage_lines_become_typed_unsupported_outcomes_in_order() {
             (other, _) => panic!("line {i}: unexpected outcome {other:?}"),
         }
     }
+
+    // Both doors word a garbage line the same way: serve's rejection
+    // detail is batch's unsupported reason.
+    let (replies, _) = serve_once(&format!("{}\n", lines[1]), &[], &[]);
+    let reply = ServeReply::from_json(replies.trim()).expect("one typed reply");
+    match (&reply.outcome, &outcomes[1]) {
+        (ServeOutcome::Rejected { detail, .. }, SolveOutcome::Unsupported { reason }) => {
+            assert_eq!(detail, reason, "one garbage text for both doors")
+        }
+        other => panic!("unexpected garbage verdicts {other:?}"),
+    }
+}
+
+#[test]
+fn one_renderer_keeps_seq_and_id_for_unrepresentable_verdicts_and_projects_batch_lines() {
+    use cpo_experiments::serve_cli::{batch_outcome, render, unrepresentable};
+    use cpo_serve::DeadlineStage;
+    // `1e999` parses to +inf, which JSON cannot carry back out.
+    let result = SolveOutcome::from_json(
+        r#"{"Solution":{"mapping":{"Plain":{"assignments":[]}},"objective":1e999}}"#,
+    )
+    .expect("an infinite objective parses");
+    let reply = ServeReply {
+        seq: 7,
+        id: Some("inf".into()),
+        tenant: None,
+        downgraded: false,
+        elapsed_ms: 0.5,
+        outcome: ServeOutcome::Done { result },
+    };
+    let back = ServeReply::from_json(&render(&reply, true)).expect("a typed serve line");
+    assert_eq!((back.seq, back.id.as_deref()), (7, Some("inf")));
+    assert_eq!(back.outcome, ServeOutcome::Done { result: unrepresentable("solution") });
+    let line = SolveOutcome::from_json(&render(&reply, false)).expect("a typed batch line");
+    assert_eq!(line, unrepresentable("solution"));
+
+    let deadline = ServeOutcome::Deadline {
+        exceeded_at: DeadlineStage::Plan,
+        budget_ms: 5,
+        elapsed_ms: 1,
+        estimated_ms: 9,
+    };
+    match batch_outcome(&deadline).into_owned() {
+        SolveOutcome::Unsupported { reason } => {
+            assert!(reason.starts_with("deadline of 5 ms exceeded at Plan"), "{reason}")
+        }
+        other => panic!("a deadline projects to unsupported, got {other:?}"),
+    }
+}
+
+/// Run `batch` over `path` with extra flags, returning (exit code, stdout).
+fn batch(path: &Path, envs: &[(&str, &str)], extra: &[&str]) -> (Option<i32>, String) {
+    let mut cmd = bin();
+    cmd.arg("batch").arg(path).args(extra);
+    for (k, v) in envs {
+        cmd.env(k, v);
+    }
+    let out = cmd.output().expect("run batch");
+    (out.status.code(), String::from_utf8(out.stdout).expect("utf8 batch output"))
+}
+
+#[test]
+fn batch_output_matches_the_committed_golden_bytes_at_every_thread_count() {
+    let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
+    let golden = [
+        ("batch_mixed.jsonl", "batch_mixed.expected.jsonl", &["--check"][..]),
+        ("serve_smoke.jsonl", "serve_smoke.expected.jsonl", &[][..]),
+    ];
+    for (input, expected, flags) in golden {
+        let expected = std::fs::read_to_string(specs.join(expected)).expect("golden file");
+        for threads in ["1", "2", "4"] {
+            let (code, stdout) =
+                batch(&specs.join(input), &[], &[flags, &["--threads", threads]].concat());
+            assert_eq!(code, Some(0), "{input} at --threads {threads}");
+            assert!(stdout == expected, "{input} at --threads {threads}: bytes differ");
+        }
+    }
+}
+
+#[test]
+fn batch_under_panic_chaos_answers_every_line_once_in_order_and_exits_1() {
+    let dir = scratch("batch-chaos");
+    let lines: Vec<String> = (0..40).map(|i| request_line(1.0 + f64::from(i) / 8.0)).collect();
+    let path = dir.join("batch.jsonl");
+    std::fs::write(&path, lines.join("\n")).expect("write batch file");
+    let (code, clean) = batch(&path, &[], &["--threads", "4"]);
+    assert_eq!(code, Some(0));
+    let bundles = dir.join("bundles");
+    let chaos = [
+        ("CPO_SERVE_CHAOS", "panic=0.3"),
+        ("CPO_SERVE_CHAOS_SEED", "5"),
+        ("CPO_BUNDLE_DIR", bundles.to_str().unwrap()),
+    ];
+    let (code, chaotic) = batch(&path, &chaos, &["--threads", "4"]);
+    assert_eq!(code, Some(1), "a failed line makes batch exit 1");
+    let clean: Vec<&str> = clean.lines().collect();
+    let chaotic: Vec<&str> = chaotic.lines().collect();
+    assert_eq!(chaotic.len(), lines.len(), "one line per input line");
+    let mut failed = 0;
+    for (i, (got, want)) in chaotic.iter().zip(&clean).enumerate() {
+        if got == want {
+            continue;
+        }
+        failed += 1;
+        match SolveOutcome::from_json(got).expect("typed outcome") {
+            SolveOutcome::Unsupported { reason } if reason.starts_with("worker panicked") => {}
+            other => panic!("line {i}: expected the clean answer or a panic, got {other:?}"),
+        }
+    }
+    assert!(failed > 0, "panic=0.3 over 40 lines must hit at least once");
+    // Seeded chaos decides per seq, so the same lines fail on every run.
+    let (_, again) = batch(&path, &chaos, &["--threads", "2"]);
+    assert_eq!(again.lines().collect::<Vec<_>>(), chaotic, "seeded chaos is deterministic");
 }
 
 // ---------------------------------------------------------------------------
@@ -173,14 +286,24 @@ fn serve_quarantines_poison_after_strikes_under_chaos() {
         &["--strikes", "2"],
     );
     verify(&dir, &replies);
+    // Poison lines share their digest with innocent duplicates, which the
+    // breaker may bounce too once it trips: count the poison ids only.
+    let poison_ids: Vec<String> = reqs
+        .lines()
+        .filter(|l| l.contains("POISON"))
+        .map(|l| SolveRequest::from_json(l).unwrap().id.expect("load_gen sets ids"))
+        .collect();
+    assert_eq!(poison_ids.len(), 3);
     let mut failed = 0usize;
     let mut quarantined = 0usize;
     for line in replies.lines() {
-        match ServeReply::from_json(line).unwrap().outcome {
+        let reply = ServeReply::from_json(line).unwrap();
+        if !reply.id.as_ref().is_some_and(|id| poison_ids.contains(id)) {
+            continue;
+        }
+        match reply.outcome {
             ServeOutcome::Failed { .. } => failed += 1,
-            ServeOutcome::Rejected { detail, .. } if detail.contains("quarantine") => {
-                quarantined += 1
-            }
+            ServeOutcome::Rejected { reason: RejectReason::Quarantined, .. } => quarantined += 1,
             _ => {}
         }
     }
@@ -191,6 +314,34 @@ fn serve_quarantines_poison_after_strikes_under_chaos() {
     // count failed before the breaker could trip.
     assert!(failed >= 2, "strike threshold 2 admits at least two poison failures\n{stderr}");
     assert_eq!(failed + quarantined, 3, "every poison line gets a typed reply\n{stderr}");
+}
+
+#[test]
+fn serve_freezes_a_poisoned_request_into_one_replayable_bundle() {
+    let dir = scratch("poison-bundle");
+    let bundles = dir.join("bundles");
+    let example = bin().args(["spec-example", "batch"]).output().expect("spec-example");
+    let example = String::from_utf8(example.stdout).expect("utf8 example batch");
+    // +inf static energy (`1e999`) parses but cannot re-serialize: the
+    // bundle must carry the raw line.
+    let poison =
+        example.lines().nth(4).expect("line 5").replace("\"e_stat\":0", "\"e_stat\":1e999");
+    assert!(poison.contains("1e999"), "the poison replacement must hit");
+    let (replies, stderr) = serve_once(
+        &format!("{poison}\n"),
+        &[("CPO_BUNDLE_DIR", bundles.to_str().unwrap())],
+        &["--check"],
+    );
+    let reply = ServeReply::from_json(replies.trim()).expect("one typed reply");
+    assert!(
+        matches!(&reply.outcome, ServeOutcome::Failed { reason } if reason.contains("energy inf")),
+        "{reply:?}"
+    );
+    let files: Vec<PathBuf> =
+        std::fs::read_dir(&bundles).expect("bundle dir").map(|e| e.unwrap().path()).collect();
+    assert_eq!(files.len(), 1, "exactly one bundle\n{stderr}");
+    let out = bin().arg("replay").arg(&files[0]).output().expect("replay runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
 }
 
 #[test]

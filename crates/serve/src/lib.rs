@@ -27,9 +27,10 @@
 //!
 //! The crate is transport-free: callers push [`SolveRequest`]s (or raw
 //! JSONL lines) in and receive [`ServeReply`]s through a [`ReplySink`]
-//! closure. stdin/Unix-socket framing, stats printing and bundle export
-//! live in the `cpo-experiments serve` binary, wired in through hooks so
-//! this crate never depends on the trust subsystem above it.
+//! closure. stdin/Unix-socket framing, the ordered `batch` drain, stats
+//! printing and bundle export live in the `cpo-experiments` binary,
+//! wired in through hooks so this crate never depends on the trust
+//! subsystem above it.
 
 pub mod chaos;
 pub mod quarantine;
@@ -64,6 +65,9 @@ pub const DEFAULT_STRIKES: u32 = 3;
 /// per millisecond (the estimates are "roughly nanoseconds", so 1e6
 /// units/ms, derated 2× for safety margin).
 pub const DEFAULT_COST_UNITS_PER_MS: u64 = 2_000_000;
+
+/// Prefix of the `Failed` reason a `--check` mismatch produces.
+pub const CHECK_MISMATCH: &str = "check mismatch: ";
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -145,7 +149,8 @@ pub enum ServeOutcome {
     Rejected {
         /// Why.
         reason: RejectReason,
-        /// Human-readable detail (tenant, queue depth, parse error…).
+        /// Human-readable detail (tenant, queue depth, `unparseable
+        /// request: …`).
         detail: String,
     },
     /// The deadline budget was provably unmeetable; the request was
@@ -208,10 +213,13 @@ impl ServeReply {
 pub type ReplySink = Arc<dyn Fn(&ServeReply) + Send + Sync>;
 
 /// Failure capture: called on the *first* strike of a digest with the
-/// offending request, the failure kind and a message. Returns `true`
-/// when a repro bundle was exported (counted in stats). The binary wires
-/// this to the trust subsystem's bundle export.
-pub type FailureHook = Arc<dyn Fn(&SolveRequest, FailureKind, &str) -> bool + Send + Sync>;
+/// offending request's admission sequence number, the request, the raw
+/// line it was parsed from (`None` when it was submitted typed), the
+/// failure kind and a message. Returns `true` when a repro bundle was
+/// exported (counted in stats). The binary wires this to the trust
+/// subsystem's bundle export.
+pub type FailureHook =
+    Arc<dyn Fn(u64, &SolveRequest, Option<&str>, FailureKind, &str) -> bool + Send + Sync>;
 
 /// Result cross-validation (`--check`): `Err(message)` marks the outcome
 /// untrusted — the reply degrades to `Failed` and the digest is struck.
@@ -230,6 +238,9 @@ pub struct ServerHooks {
 struct Entry {
     seq: u64,
     req: SolveRequest,
+    /// The line `req` was parsed from, kept for bundle export: a poisoned
+    /// request parses but cannot re-serialize.
+    raw: Option<Box<str>>,
     key: CacheKey,
     admitted_nanos: u64,
 }
@@ -297,7 +308,7 @@ impl Server {
     /// later by a worker. Either way, exactly one reply, carrying the
     /// returned sequence number.
     pub fn submit(&self, req: SolveRequest) -> u64 {
-        self.inner.submit(req)
+        self.inner.submit(req, None)
     }
 
     /// A cloneable ingress handle for reader threads (stdin, sockets):
@@ -351,7 +362,7 @@ impl ServerHandle {
 
     /// See [`Server::submit`].
     pub fn submit(&self, req: SolveRequest) -> u64 {
-        self.inner.submit(req)
+        self.inner.submit(req, None)
     }
 
     /// See [`Server::snapshot`].
@@ -377,7 +388,7 @@ impl Inner {
 
     fn submit_line(&self, line: &str) -> u64 {
         match SolveRequest::from_json(line) {
-            Ok(req) => self.submit(req),
+            Ok(req) => self.submit(req, Some(line)),
             Err(e) => {
                 let seq = self.next_seq();
                 self.stats.rejected_invalid.fetch_add(1, Ordering::Relaxed);
@@ -389,7 +400,7 @@ impl Inner {
                     elapsed_ms: 0.0,
                     outcome: ServeOutcome::Rejected {
                         reason: RejectReason::Invalid,
-                        detail: format!("parse error: {e}"),
+                        detail: format!("unparseable request: {e}"),
                     },
                 });
                 seq
@@ -397,7 +408,7 @@ impl Inner {
         }
     }
 
-    fn submit(&self, req: SolveRequest) -> u64 {
+    fn submit(&self, req: SolveRequest, raw: Option<&str>) -> u64 {
         let seq = self.next_seq();
         let reject = |reason: RejectReason, detail: String| {
             self.emit(ServeReply {
@@ -429,7 +440,8 @@ impl Inner {
             reject(RejectReason::RateLimited, format!("tenant `{tenant}` is out of tokens"));
             return seq;
         }
-        let entry = Entry { seq, req, key, admitted_nanos: self.now_nanos() };
+        let raw = raw.map(Box::from);
+        let entry = Entry { seq, req, raw, key, admitted_nanos: self.now_nanos() };
         match self.queue.push(entry) {
             Ok(()) => {
                 self.stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -474,12 +486,12 @@ impl Inner {
 
     /// Strike the digest; on the first strike, hand the request to the
     /// failure hook for bundle export.
-    fn register_failure(&self, req: &SolveRequest, key: CacheKey, kind: FailureKind, message: &str) {
+    fn register_failure(&self, entry: &Entry, kind: FailureKind, message: &str) {
         self.stats.strikes.fetch_add(1, Ordering::Relaxed);
-        let strikes = self.quarantine.strike(key);
+        let strikes = self.quarantine.strike(entry.key);
         if strikes == 1 {
             if let Some(hook) = &self.hooks.failure {
-                if hook(req, kind, message) {
+                if hook(entry.seq, &entry.req, entry.raw.as_deref(), kind, message) {
                     self.stats.bundles_exported.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -497,14 +509,13 @@ fn worker_loop(inner: &Inner) {
         let id = entry.req.id.clone();
         let tenant = entry.req.tenant.clone();
         let admitted = entry.admitted_nanos;
-        let key = entry.key;
         let result = catch_unwind(AssertUnwindSafe(|| process(inner, &entry, &mut scratch)));
         let (outcome, downgraded) = match result {
             Ok(v) => v,
             Err(panic) => {
                 scratch = RouterScratch::new();
-                let reason = format!("worker panicked: {}", panic_text(&*panic));
-                inner.register_failure(&entry.req, key, FailureKind::EnginePanic, &reason);
+                let reason = format!("worker panicked: {}", cpo_engine::panic_payload(&*panic));
+                inner.register_failure(&entry, FailureKind::EnginePanic, &reason);
                 (ServeOutcome::Failed { reason }, false)
             }
         };
@@ -625,7 +636,7 @@ fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeO
     // poison spec trips the breaker instead of panicking forever.
     if let SolveOutcome::Unsupported { reason } = &result {
         if cpo_engine::panic_details(reason).is_some() {
-            inner.register_failure(req, entry.key, FailureKind::EnginePanic, reason);
+            inner.register_failure(entry, FailureKind::EnginePanic, reason);
         }
     }
 
@@ -633,19 +644,11 @@ fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeO
     // degrade to `Failed` and strike the digest.
     if let Some(check) = &inner.hooks.check {
         if let Err(message) = check(req, &result) {
-            let reason = format!("check mismatch: {message}");
-            inner.register_failure(req, entry.key, FailureKind::CheckMismatch, &reason);
+            let reason = format!("{CHECK_MISMATCH}{message}");
+            inner.register_failure(entry, FailureKind::CheckMismatch, &reason);
             return (ServeOutcome::Failed { reason }, downgraded);
         }
     }
 
     (ServeOutcome::Done { result }, downgraded)
-}
-
-fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".into())
 }

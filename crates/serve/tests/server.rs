@@ -109,7 +109,7 @@ fn garbage_lines_get_typed_invalid_replies() {
             matches!(
                 &r.outcome,
                 ServeOutcome::Rejected { reason: RejectReason::Invalid, detail }
-                    if detail.starts_with("parse error:")
+                    if detail.starts_with("unparseable request:")
             )
         })
         .collect();
@@ -264,7 +264,8 @@ fn poison_digest_is_quarantined_after_k_strikes_and_reset_reopens() {
     let exported: Arc<Mutex<Vec<(FailureKind, String)>>> = Arc::new(Mutex::new(Vec::new()));
     let hook_exported = Arc::clone(&exported);
     let hooks = ServerHooks {
-        failure: Some(Arc::new(move |_req, kind, msg| {
+        failure: Some(Arc::new(move |_seq, _req, raw, kind, msg| {
+            assert!(raw.is_none(), "a typed submission carries no raw line");
             hook_exported.lock().push((kind, msg.to_string()));
             true
         })),

@@ -4,7 +4,8 @@
 # Everything kick-tires.sh does, plus: the whole experiment battery
 # (tables, gadgets, scaling, the tier-2 Pareto fronts, extensions,
 # robustness), deeper property-test soaks, the million-dataset wavefront
-# check, a long differential fuzz, a fresh bench measurement, and the
+# check, a long differential fuzz, the wire-to-wire benchmark smoke
+# (`wirebench/smoke.sh`), a fresh bench measurement, and the
 # bench trajectory across every committed per-PR baseline.
 #
 # Environment:
@@ -44,6 +45,9 @@ step "serve chaos drills (full matrix)"
 for drill in panic stall poison flood none; do
   ./scripts/serve-drill.sh "$drill"
 done
+
+step "wire-to-wire benchmark smoke (serve and batch oracle on every corpus)"
+bash wirebench/smoke.sh
 
 step "bench re-measure (fresh JSON report)"
 CPO_BENCH_JSON="$PWD/BENCH_FULL.json" cargo bench -p cpo_bench
