@@ -133,6 +133,45 @@ fn batch_garbage_lines_become_typed_unsupported_outcomes_in_order() {
 }
 
 #[test]
+fn deeply_nested_lines_get_typed_rejections_on_both_doors() {
+    // Regression: a 20 KB line of `[` overflowed serve's reader stack and a
+    // 200 KB one batch's main stack (exit 134, no reply at all).
+    let unparseable = |text: &str| {
+        assert!(text.starts_with("unparseable request:"), "got `{text}`");
+        assert!(text.contains("nesting deeper than"), "got `{text}`");
+    };
+    let input = format!("{}\n{}\n", "[".repeat(20_000), request_line(2.0));
+    let (replies, _) = serve_once(&input, &[], &[]);
+    let replies: Vec<ServeReply> =
+        replies.lines().map(|l| ServeReply::from_json(l).expect("typed reply")).collect();
+    assert_eq!(replies.len(), 2, "one reply per line");
+    for reply in &replies {
+        match (&reply.seq, &reply.outcome) {
+            (0, ServeOutcome::Rejected { reason: RejectReason::Invalid, detail }) => {
+                unparseable(detail)
+            }
+            (1, ServeOutcome::Done { result: SolveOutcome::Solution { .. } }) => {}
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
+    let dir = scratch("deep-nesting");
+    let path = dir.join("batch.jsonl");
+    std::fs::write(&path, format!("{}\n{}\n", "[".repeat(200_000), request_line(2.0)))
+        .expect("write batch file");
+    let (code, stdout) = batch(&path, &[], &[]);
+    assert_eq!(code, Some(0));
+    let outcomes: Vec<SolveOutcome> =
+        stdout.lines().map(|l| SolveOutcome::from_json(l).expect("typed outcome")).collect();
+    assert_eq!(outcomes.len(), 2, "one outcome per line");
+    match &outcomes[0] {
+        SolveOutcome::Unsupported { reason } => unparseable(reason),
+        other => panic!("deep line: unexpected outcome {other:?}"),
+    }
+    assert!(matches!(outcomes[1], SolveOutcome::Solution { .. }), "{:?}", outcomes[1]);
+}
+
+#[test]
 fn one_renderer_keeps_seq_and_id_for_unrepresentable_verdicts_and_projects_batch_lines() {
     use cpo_experiments::serve_cli::{batch_outcome, render, unrepresentable};
     use cpo_serve::DeadlineStage;
@@ -186,6 +225,11 @@ fn batch_output_matches_the_committed_golden_bytes_at_every_thread_count() {
     let golden = [
         ("batch_mixed.jsonl", "batch_mixed.expected.jsonl", &["--check"][..]),
         ("serve_smoke.jsonl", "serve_smoke.expected.jsonl", &[][..]),
+        (
+            "checked_odd_speeds.jsonl",
+            "checked_odd_speeds.expected.jsonl",
+            &["--check", "--datasets", "1024"][..],
+        ),
     ];
     for (input, expected, flags) in golden {
         let expected = std::fs::read_to_string(specs.join(expected)).expect("golden file");

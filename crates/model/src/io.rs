@@ -538,7 +538,7 @@ pub mod json_value {
 
     /// Parse JSON text into a [`Value`].
     pub fn parse(s: &str) -> Result<Value, Error> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -548,9 +548,16 @@ pub mod json_value {
         Ok(v)
     }
 
+    /// Deepest array/object nesting [`parse`] accepts. Real requests nest
+    /// about six levels; the cap only turns pathological input into a
+    /// typed error.
+    pub const MAX_DEPTH: usize = 128;
+
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Containers currently open around `pos`.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -587,59 +594,8 @@ pub mod json_value {
                 Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
                 Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
                 Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b'[') => {
-                    self.pos += 1;
-                    let mut items = Vec::new();
-                    self.skip_ws();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    loop {
-                        items.push(self.value()?);
-                        self.skip_ws();
-                        match self.peek() {
-                            Some(b',') => {
-                                self.pos += 1;
-                            }
-                            Some(b']') => {
-                                self.pos += 1;
-                                break;
-                            }
-                            _ => return Err(Error(format!("expected , or ] at byte {}", self.pos))),
-                        }
-                    }
-                    Ok(Value::Arr(items))
-                }
-                Some(b'{') => {
-                    self.pos += 1;
-                    let mut map = BTreeMap::new();
-                    self.skip_ws();
-                    if self.peek() == Some(b'}') {
-                        self.pos += 1;
-                        return Ok(Value::Obj(map));
-                    }
-                    loop {
-                        self.skip_ws();
-                        let key = self.string()?;
-                        self.skip_ws();
-                        self.expect(b':')?;
-                        let val = self.value()?;
-                        map.insert(key, val);
-                        self.skip_ws();
-                        match self.peek() {
-                            Some(b',') => {
-                                self.pos += 1;
-                            }
-                            Some(b'}') => {
-                                self.pos += 1;
-                                break;
-                            }
-                            _ => return Err(Error(format!("expected , or }} at byte {}", self.pos))),
-                        }
-                    }
-                    Ok(Value::Obj(map))
-                }
+                Some(b'[') => self.nested(Self::array),
+                Some(b'{') => self.nested(Self::object),
                 Some(c) if c == b'-' || c.is_ascii_digit() => {
                     let start = self.pos;
                     while let Some(c) = self.peek() {
@@ -657,6 +613,74 @@ pub mod json_value {
                 }
                 _ => Err(Error(format!("unexpected character at byte {}", self.pos))),
             }
+        }
+        /// Parse one container a level deeper, refusing past [`MAX_DEPTH`]:
+        /// the parser recurses once per level, so an unbounded depth would
+        /// overflow the stack instead of rejecting the line.
+        fn nested(&mut self, f: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+            if self.depth == MAX_DEPTH {
+                return Err(Error(format!(
+                    "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                    self.pos
+                )));
+            }
+            self.depth += 1;
+            let v = f(self);
+            self.depth -= 1;
+            v
+        }
+        fn array(&mut self) -> Result<Value, Error> {
+            self.pos += 1;
+            let mut items = Vec::new();
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+                return Ok(Value::Arr(items));
+            }
+            loop {
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                    }
+                    Some(b']') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(Error(format!("expected , or ] at byte {}", self.pos))),
+                }
+            }
+            Ok(Value::Arr(items))
+        }
+        fn object(&mut self) -> Result<Value, Error> {
+            self.pos += 1;
+            let mut map = BTreeMap::new();
+            self.skip_ws();
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                return Ok(Value::Obj(map));
+            }
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                let val = self.value()?;
+                map.insert(key, val);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                    }
+                    Some(b'}') => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => return Err(Error(format!("expected , or }} at byte {}", self.pos))),
+                }
+            }
+            Ok(Value::Obj(map))
         }
         fn string(&mut self) -> Result<String, Error> {
             self.expect(b'"')?;
@@ -909,6 +933,18 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("tru").is_err());
         assert!(parse("[1] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        use super::json_value::{parse, MAX_DEPTH};
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128 levels"), "{err}");
+        // Far past the cap: rejected, not a stack overflow.
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

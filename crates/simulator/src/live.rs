@@ -188,30 +188,33 @@ mod tests {
     }
 
     #[test]
-    fn pipelining_beats_serial_execution() {
-        // 3 stages × 2ms each, 8 items. Serial: ~48ms; pipelined: ~22ms.
-        let mk = || {
-            LivePipeline::new()
-                .stage(|x: u64| {
-                    std::thread::sleep(Duration::from_millis(2));
-                    x
-                })
-                .stage(|x| {
-                    std::thread::sleep(Duration::from_millis(2));
-                    x
-                })
-                .stage(|x| {
-                    std::thread::sleep(Duration::from_millis(2));
-                    x
-                })
-        };
-        let (_, rep) = mk().run((0..8).collect());
-        let serial = Duration::from_millis(3 * 2 * 8);
+    fn pipelining_overlaps_consecutive_items() {
+        // Structural, not wall-clock: while stage 1 still holds item 0 it
+        // waits for stage 0 to start item 1. Only pipelined execution can
+        // satisfy that rendezvous; a serial executor would time out. The
+        // timeout bounds a failing run and never decides a passing one.
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let overlapped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let seen = Arc::clone(&overlapped);
+        let pipe = LivePipeline::new()
+            .stage(move |x: u64| {
+                if x == 1 {
+                    started_tx.send(()).expect("stage 1 is listening");
+                }
+                x
+            })
+            .stage(move |x| {
+                if x == 0 {
+                    let met = started_rx.recv_timeout(Duration::from_secs(30)).is_ok();
+                    seen.store(met, std::sync::atomic::Ordering::SeqCst);
+                }
+                x
+            });
+        let (out, _) = pipe.run(vec![0, 1, 2]);
+        assert_eq!(out, vec![0, 1, 2]);
         assert!(
-            rep.elapsed < serial,
-            "pipelined {:?} should beat serial {:?}",
-            rep.elapsed,
-            serial
+            overlapped.load(std::sync::atomic::Ordering::SeqCst),
+            "stage 0 must start item 1 while stage 1 still holds item 0"
         );
     }
 

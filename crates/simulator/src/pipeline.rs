@@ -50,6 +50,11 @@ pub struct AppTimes {
     /// fired (`None` on DAG-engine runs and on instances whose arithmetic
     /// could not be certified exact — see [`crate::wavefront`]).
     pub steady_state: Option<SteadyState>,
+    /// How many rows ran the fast-forward certificate: a deterministic
+    /// work counter, `0` on DAG-engine runs, on bounded buffers and
+    /// wherever the once-per-application pre-check rules the certificate
+    /// out (see [`crate::wavefront`]).
+    pub certificate_attempts: usize,
 }
 
 /// Full simulation report.
@@ -402,6 +407,7 @@ pub(crate) fn build_and_run(
             first_latency,
             measured_period: period,
             steady_state: None,
+            certificate_attempts: 0,
         });
     }
 

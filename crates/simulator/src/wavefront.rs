@@ -77,13 +77,34 @@
 //!    exact: floating-point *is* real arithmetic from here on, and the
 //!    closed form reproduces the recurrence bit for bit.
 //!
-//! Instances whose durations carry full 52-bit mantissas (arbitrary
-//! `work / speed` ratios) usually fail the horizon check long before a
-//! million data sets — they simply keep the plain `O(datasets × stages)`
-//! rolling recurrence, which is still heap-free and allocation-free.
-//! Dyadic instances (integer or power-of-two-scaled durations, e.g. every
-//! instance of the paper's Section 2 family) fast-forward after a few
-//! rows. Bounded-buffer runs never fast-forward: their state includes a
+//! **Once-per-application pre-check.** Two facts about the certificate
+//! hold on every row, so whether it can *ever* pass is known before the
+//! first row runs:
+//!
+//! - its lattice exponent `e` never exceeds `e_dur`, the lowest-set-bit
+//!   exponent over the non-zero `transfer` and `compute` durations (they
+//!   are part of the scan);
+//! - its horizon bound covers every busy total `node_busy[j] + r·compute[j]`,
+//!   which is `D·compute[j]` up to rounding for a run of `D` data sets
+//!   (the `d + 1` accumulated terms plus the `r` remaining ones).
+//!
+//! With `D < 2^50` the accumulated rounding is far below a factor 2, so
+//! when `D·max_j compute[j] > 2^(53+e_dur)` the bound exceeds
+//! `2^(52+e_dur) ≥ 2^(52+e)` on every row and no attempt can return a
+//! certificate. Such runs skip all certificate work and keep the plain
+//! `O(datasets × stages)` rolling recurrence, which is still heap-free
+//! and allocation-free; the skip only drops attempts that would return
+//! `None`, so the output is bitwise the same. Durations with full 52-bit
+//! mantissas (arbitrary `work / speed` ratios, e.g. odd-integer speeds)
+//! usually land here after a handful of data sets: `e_dur` then sits
+//! about 52 binades below the largest duration. Dyadic instances (integer or
+//! power-of-two-scaled durations, e.g. every instance of the paper's
+//! Section 2 family) pass the pre-check and fast-forward after a few
+//! rows; their attempts reuse `e_dur` and rescan only the live rows, the
+//! busy accumulators and the rates.
+//! `AppTimes::certificate_attempts` counts the attempts per application.
+//!
+//! Bounded-buffer runs never fast-forward: their state includes a
 //! `capacity`-deep history, and certifying a uniform shift across it
 //! would cost what it saves.
 
@@ -172,7 +193,12 @@ fn run_app(
     let mut node_busy = vec![0.0f64; m];
     let mut completions: Vec<f64> = Vec::with_capacity(datasets);
     let mut steady = None;
-    // Cheap steady-state precheck: only run the full certificate once the
+    let mut certificate_attempts = 0;
+    // Decided once: a run whose duration lattice cannot hold its horizon
+    // never certifies, so it skips every attempt (see the module docs).
+    let e_dur = duration_lattice(transfer, compute);
+    let fast_forward = fast_forward && !bounded && may_certify(e_dur, compute, datasets);
+    // Cheap per-row gate: only run the full certificate once the
     // completion increment repeats (NaN never equals itself, so the first
     // row always skips).
     let mut last_dm = f64::NAN;
@@ -204,12 +230,13 @@ fn run_app(
         }
         completions.push(t_cur[m]);
 
-        if fast_forward && !bounded && d > 0 {
+        if fast_forward && d > 0 {
             let remaining = datasets - 1 - d;
             let dm = t_cur[m] - t_prev[m];
             if remaining > 0 && dm == last_dm {
+                certificate_attempts += 1;
                 if let Some(delta) = certified_rates(
-                    &t_prev, &t_cur, &c_prev, &c_cur, transfer, compute, &node_busy, no_overlap,
+                    &t_prev, &t_cur, &c_prev, &c_cur, compute, &node_busy, e_dur, no_overlap,
                     remaining,
                 ) {
                     let base = t_cur[m];
@@ -234,23 +261,69 @@ fn run_app(
     }
     let first_latency = completions[0];
     let period = measured_period(&completions);
-    AppTimes { completions, first_latency, measured_period: period, steady_state: steady }
+    AppTimes {
+        completions,
+        first_latency,
+        measured_period: period,
+        steady_state: steady,
+        certificate_attempts,
+    }
+}
+
+/// Lowest-set-bit exponent over the non-zero durations — the coarsest
+/// lattice any certificate of this application can use (`i32::MAX` when
+/// every duration is zero).
+fn duration_lattice(transfer: &[f64], compute: &[f64]) -> i32 {
+    transfer
+        .iter()
+        .chain(compute)
+        .filter(|&&v| v != 0.0)
+        .map(|&v| lsb_exponent(v))
+        .min()
+        .unwrap_or(i32::MAX)
+}
+
+/// The once-per-application pre-check: `false` only when no row of a
+/// `datasets` run can pass [`certified_rates`], because the busy totals
+/// alone (`≈ datasets · compute[j]`) outgrow the horizon `2^(52+e_dur)`
+/// by more than the factor-2 rounding margin (see the module docs).
+fn may_certify(e_dur: i32, compute: &[f64], datasets: usize) -> bool {
+    let cmax = compute.iter().fold(0.0f64, |acc, &c| acc.max(c));
+    // Below 2^50 data sets the busy accumulators' rounding stays far
+    // under the margin; beyond that, keep attempting.
+    if cmax == 0.0 || datasets as u64 >= 1 << 50 {
+        return true;
+    }
+    datasets as f64 * cmax <= pow2(53 + e_dur)
+}
+
+/// `2^k`, saturating to `+∞` above the largest and to `0` below the
+/// smallest finite power of two.
+fn pow2(k: i32) -> f64 {
+    if k >= 1024 {
+        f64::INFINITY
+    } else if k < -1074 {
+        0.0
+    } else {
+        2.0f64.powi(k)
+    }
 }
 
 /// The fast-forward certificate: returns the completion increment Δ when
 /// the last two rows exhibit per-component rates whose argmax structure
 /// is stable **and** the remaining run is provably exact in floating
 /// point (lattice + horizon conditions — see the module docs). `None`
-/// simply means "keep iterating".
+/// simply means "keep iterating". `e_dur` is the durations' lattice
+/// exponent ([`duration_lattice`]), computed once per application.
 #[allow(clippy::too_many_arguments)]
 fn certified_rates(
     t_prev: &[f64],
     t_cur: &[f64],
     c_prev: &[f64],
     c_cur: &[f64],
-    transfer: &[f64],
     compute: &[f64],
     node_busy: &[f64],
+    e_dur: i32,
     no_overlap: bool,
     remaining: usize,
 ) -> Option<f64> {
@@ -319,8 +392,8 @@ fn certified_rates(
     }
 
     // Lattice exponent: every value the remaining run touches must be an
-    // integer multiple of 2^e.
-    let mut e = i32::MAX;
+    // integer multiple of 2^e. The durations' share is `e_dur`.
+    let mut e = e_dur;
     let mut lattice = |v: f64| -> bool {
         if v == 0.0 {
             return true;
@@ -331,7 +404,7 @@ fn certified_rates(
         e = e.min(lsb_exponent(v));
         true
     };
-    for row in [t_prev, t_cur, c_prev, c_cur, transfer, compute, node_busy] {
+    for row in [t_prev, t_cur, c_prev, c_cur, node_busy] {
         for &v in row {
             if !lattice(v) {
                 return None;
@@ -365,15 +438,7 @@ fn certified_rates(
         bound = bound.max(c_cur[j] + r * dc(j));
         bound = bound.max(node_busy[j] + r * compute[j]);
     }
-    let k = 52 + e;
-    let threshold = if k >= 1024 {
-        f64::INFINITY
-    } else if k < -1074 {
-        0.0
-    } else {
-        2.0f64.powi(k)
-    };
-    if !bound.is_finite() || bound > threshold {
+    if !bound.is_finite() || bound > pow2(52 + e) {
         return None;
     }
     Some(delta)
@@ -440,10 +505,13 @@ mod tests {
         for (b, c) in full.busy.iter().zip(&fast.busy) {
             assert_eq!(b.to_bits(), c.to_bits());
         }
-        let ss = fast.apps[0].steady_state.expect("dyadic instance reaches steady state");
-        assert!(ss.detected_at < 64, "detected at {}", ss.detected_at);
-        assert!(ss.delta > 0.0);
-        assert!(full.apps[0].steady_state.is_none(), "full run never fast-forwards");
+        for (f, s) in full.apps.iter().zip(&fast.apps) {
+            // Pinned exactly: the pre-check must not delay detection.
+            assert_eq!(s.steady_state, Some(SteadyState { detected_at: 2, delta: 1.0 }));
+            assert_eq!(s.certificate_attempts, 1);
+            assert!(f.steady_state.is_none(), "full run never fast-forwards");
+            assert_eq!(f.certificate_attempts, 0);
+        }
     }
 
     #[test]
@@ -452,7 +520,10 @@ mod tests {
         let m = period_mapping();
         let rep = simulate_wavefront(&apps, &pf, &m, CommModel::Overlap, 1_000_000, usize::MAX, true);
         assert_eq!(rep.apps[0].completions.len(), 1_000_000);
-        assert!(rep.apps[0].steady_state.is_some());
+        for a in &rep.apps {
+            assert_eq!(a.steady_state, Some(SteadyState { detected_at: 2, delta: 1.0 }));
+            assert_eq!(a.certificate_attempts, 1);
+        }
         // Period 1 mapping: the millionth completion sits near t = 1e6.
         assert!((rep.makespan - 1e6).abs() / 1e6 < 1e-2, "makespan {}", rep.makespan);
         assert!((rep.period - 1.0).abs() < 1e-9);
@@ -487,5 +558,124 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         assert_eq!(full.busy[0].to_bits(), fast.busy[0].to_bits());
+        assert_eq!(fast.apps[0].certificate_attempts, 0, "ruled out before the first row");
+    }
+
+    /// The unbounded recurrence of [`run_app`], restated so that a test can
+    /// see every pair of consecutive rows: `visit(d, t_prev, t_cur, c_prev,
+    /// c_cur, node_busy)` runs after each row `d ≥ 1`. Returns the
+    /// completions.
+    fn for_each_row(
+        transfer: &[f64],
+        compute: &[f64],
+        no_overlap: bool,
+        datasets: usize,
+        mut visit: impl FnMut(usize, &[f64], &[f64], &[f64], &[f64], &[f64]),
+    ) -> Vec<f64> {
+        let m = compute.len();
+        let (mut t_prev, mut t_cur) = (vec![0.0f64; m + 1], vec![0.0f64; m + 1]);
+        let (mut c_prev, mut c_cur) = (vec![0.0f64; m], vec![0.0f64; m]);
+        let mut node_busy = vec![0.0f64; m];
+        let mut completions = Vec::with_capacity(datasets);
+        for d in 0..datasets {
+            for j in 0..=m {
+                let mut ready = 0.0f64;
+                if j > 0 {
+                    ready = ready.max(c_cur[j - 1]);
+                }
+                if d > 0 {
+                    ready = ready.max(t_prev[j]);
+                    if no_overlap && j < m {
+                        ready = ready.max(t_prev[j + 1]);
+                    }
+                }
+                t_cur[j] = ready + transfer[j];
+                if j < m {
+                    c_cur[j] = t_cur[j].max(c_prev[j]) + compute[j];
+                    node_busy[j] += compute[j];
+                }
+            }
+            completions.push(t_cur[m]);
+            if d > 0 {
+                visit(d, &t_prev, &t_cur, &c_prev, &c_cur, &node_busy);
+            }
+            std::mem::swap(&mut t_prev, &mut t_cur);
+            std::mem::swap(&mut c_prev, &mut c_cur);
+        }
+        completions
+    }
+
+    #[test]
+    fn precheck_never_rules_out_a_passing_certificate() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Three duration families: dyadic (certify early), full mantissa
+        // (ruled out) and a fine 2^-40 lattice whose horizon 2^12 sits
+        // inside the data-set range, so runs land on both sides of the
+        // pre-check's threshold.
+        let mut passed = [0usize; 3];
+        let mut ruled_out = [0usize; 3];
+        for i in 0..180u64 {
+            let mut rng = StdRng::seed_from_u64(i);
+            let family = (i % 3) as usize;
+            let m = rng.gen_range(1..6usize);
+            let mut draw = |zero_ok: bool| -> f64 {
+                match family {
+                    0 => f64::from(rng.gen_range(u32::from(!zero_ok)..9)) / f64::from(1 << rng.gen_range(0..4)),
+                    1 => rng.gen_range(0.1..5.0),
+                    _ => rng.gen_range(1u64 << 39..1 << 42) as f64 * 2f64.powi(-40),
+                }
+            };
+            let works: Vec<(f64, f64)> = (0..m).map(|_| (draw(false), draw(true))).collect();
+            let apps = AppSet::single(cpo_model::application::Application::from_pairs(
+                draw(true),
+                &works,
+            ));
+            // A one-to-one chain at unit speed and bandwidth; the durations
+            // come from the simulator's own derivation, and the restated
+            // recurrence is checked against the real core bit for bit.
+            let pf = Platform::fully_homogeneous(m, vec![1.0], 1.0).unwrap();
+            let mapping = (0..m)
+                .fold(Mapping::new(), |mp, j| mp.with(Interval::new(0, j, j), j, 0));
+            let (transfer, compute) =
+                chain_durations(&apps.apps[0], 0, &pf, &mapping.app_chain(0));
+            let datasets = match family {
+                0 => rng.gen_range(2..4096),
+                1 => rng.gen_range(2..1024),
+                _ => rng.gen_range(256..8192),
+            };
+            let e_dur = duration_lattice(&transfer, &compute);
+            let possible = may_certify(e_dur, &compute, datasets);
+            if !possible {
+                ruled_out[family] += 1;
+            }
+            for model in [CommModel::Overlap, CommModel::NoOverlap] {
+                let no_overlap = model == CommModel::NoOverlap;
+                let completions =
+                    for_each_row(&transfer, &compute, no_overlap, datasets, |d, tp, tc, cp, cc, nb| {
+                        let remaining = datasets - 1 - d;
+                        if remaining == 0 {
+                            return;
+                        }
+                        let cert =
+                            certified_rates(tp, tc, cp, cc, &compute, nb, e_dur, no_overlap, remaining);
+                        if cert.is_some() {
+                            assert!(
+                                possible,
+                                "instance {i} row {d}: certificate passed where the pre-check \
+                                 ruled it out (e_dur {e_dur}, D {datasets}, compute {compute:?})"
+                            );
+                            passed[family] += 1;
+                        }
+                    });
+                let rep = simulate_wavefront(&apps, &pf, &mapping, model, datasets, usize::MAX, false);
+                let real: Vec<u64> = rep.apps[0].completions.iter().map(|c| c.to_bits()).collect();
+                let restated: Vec<u64> = completions.iter().map(|c| c.to_bits()).collect();
+                assert_eq!(real, restated, "instance {i}: restated recurrence drifted");
+            }
+        }
+        assert!(passed[0] > 0 && passed[2] > 0, "certificates passed: {passed:?}");
+        assert!(ruled_out[1] > 0 && ruled_out[2] > 0, "runs ruled out: {ruled_out:?}");
+        assert!(ruled_out[2] < 60, "the 2^-40 lattice must straddle the threshold: {ruled_out:?}");
     }
 }

@@ -9,9 +9,10 @@
 //! makespan, measured period/latency. The fast-forward additionally
 //! claims exactness whenever its lattice/horizon certificate fires. Both
 //! claims are soaked here over random instances (integral and
-//! full-mantissa durations), both communication models, bounded and
-//! unbounded buffers, and the degenerate shapes (one stage, one data
-//! set, zero-size data). Honors `PROPTEST_CASES` for deeper soaks.
+//! full-mantissa durations, odd-integer speeds at 1 024 data sets), both
+//! communication models, bounded and unbounded buffers, and the
+//! degenerate shapes (one stage, one data set, zero-size data). Honors
+//! `PROPTEST_CASES` for deeper soaks.
 
 use cpo_model::generator::{
     random_apps, random_comm_homogeneous, random_fully_homogeneous, AppGenConfig,
@@ -25,6 +26,16 @@ use rand::rngs::StdRng;
 
 /// Random valid interval mapping (same shape as the tier-1 suite's).
 fn random_mapping(apps: &AppSet, platform: &Platform, rng: &mut StdRng) -> Option<Mapping> {
+    random_chain_mapping(apps, platform, rng, false)
+}
+
+/// Random valid interval mapping, or one-to-one when `one_to_one`.
+fn random_chain_mapping(
+    apps: &AppSet,
+    platform: &Platform,
+    rng: &mut StdRng,
+    one_to_one: bool,
+) -> Option<Mapping> {
     let mut procs: Vec<usize> = (0..platform.p()).collect();
     procs.shuffle(rng);
     let mut mapping = Mapping::new();
@@ -32,7 +43,7 @@ fn random_mapping(apps: &AppSet, platform: &Platform, rng: &mut StdRng) -> Optio
     for (a, app) in apps.apps.iter().enumerate() {
         let mut first = 0usize;
         while first < app.n() {
-            let last = rng.gen_range(first..app.n());
+            let last = if one_to_one { first } else { rng.gen_range(first..app.n()) };
             if next >= procs.len() {
                 return None;
             }
@@ -72,6 +83,33 @@ fn assert_bitwise(a: &SimReport, b: &SimReport, what: &str) {
     assert_eq!(a.latency.to_bits(), b.latency.to_bits(), "{what}: latency");
     assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{what}: makespan");
     assert_eq!(a.power.to_bits(), b.power.to_bits(), "{what}: power");
+}
+
+/// A `--check`-style instance: 2 apps × 6–11 stages of integral work
+/// 1–20 and data 1–5 on 24 identical processors whose 2–3 modes are odd
+/// integers, bandwidth 3 or 5, interval or one-to-one mapping. Odd
+/// divisors give the durations full mantissas.
+fn odd_speed_instance(seed: u64) -> (AppSet, Platform, Mapping) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0DD5);
+    let apps = random_apps(
+        &AppGenConfig {
+            apps: 2,
+            stages: (6, 11),
+            work: (1.0, 20.0),
+            data: (1.0, 5.0),
+            integral: true,
+        },
+        seed,
+    );
+    let mut pool = vec![3.0, 5.0, 7.0, 9.0, 11.0, 13.0];
+    pool.shuffle(&mut rng);
+    pool.truncate(rng.gen_range(2..=3));
+    pool.sort_by(f64::total_cmp);
+    let bandwidth = if rng.gen_range(0..2) == 0 { 3.0 } else { 5.0 };
+    let pf = Platform::fully_homogeneous(24, pool, bandwidth).unwrap();
+    let mapping = random_chain_mapping(&apps, &pf, &mut rng, seed % 2 == 1)
+        .expect("24 processors hold 22 stages");
+    (apps, pf, mapping)
 }
 
 /// One full comparison: wavefront (fast-forward off and on) vs DAG oracle.
@@ -177,6 +215,40 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn wavefront_matches_dag_on_odd_speed_instances(seed in 0u64..1_000_000) {
+        let (apps, pf, mapping) = odd_speed_instance(seed);
+        for model in [CommModel::Overlap, CommModel::NoOverlap] {
+            check_instance(&apps, &pf, &mapping, model, 1024, usize::MAX);
+        }
+    }
+}
+
+#[test]
+fn odd_speed_instances_never_attempt_the_certificate() {
+    // Exact work-counter gate: the once-per-application pre-check rules
+    // the fast-forward certificate out before the first row, so none of
+    // these 1 024-data-set runs pays for a single attempt.
+    let mut attempts = 0;
+    let mut apps_run = 0;
+    for seed in 0..32 {
+        let (apps, pf, mapping) = odd_speed_instance(seed);
+        for model in [CommModel::Overlap, CommModel::NoOverlap] {
+            let rep = simulate_wavefront(&apps, &pf, &mapping, model, 1024, usize::MAX, true);
+            for a in &rep.apps {
+                assert!(a.steady_state.is_none());
+                attempts += a.certificate_attempts;
+                apps_run += 1;
+            }
+        }
+    }
+    assert_eq!(apps_run, 128);
+    assert_eq!(attempts, 0);
+    // The DAG oracle never attempts a certificate at all.
+    let (apps, pf, mapping) = odd_speed_instance(7);
+    let dag = simulate_reference_dag(&apps, &pf, &mapping, CommModel::Overlap, 64, usize::MAX);
+    assert!(dag.apps.iter().all(|a| a.certificate_attempts == 0));
 }
 
 #[test]
