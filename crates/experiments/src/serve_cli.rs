@@ -201,10 +201,37 @@ pub fn render(reply: &ServeReply, envelope: bool) -> String {
     })
 }
 
+/// `raw` without its line ending (`\n` or `\r\n`), as `str::lines`
+/// splits. Lines stay bytes until the server decodes them, so one
+/// undecodable line gets its own typed rejection and costs no other line
+/// its reply.
+fn line_body(raw: &[u8]) -> &[u8] {
+    match raw.strip_suffix(b"\n") {
+        Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+        None => raw,
+    }
+}
+
+/// The next raw line of a stream ingress, read into `buf`; `None` at EOF
+/// or on a read error.
+fn next_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> Option<&'b [u8]> {
+    buf.clear();
+    match reader.read_until(b'\n', buf) {
+        Ok(0) | Err(_) => None,
+        Ok(_) => Some(line_body(buf)),
+    }
+}
+
 /// One line handled from any ingress. Returns `true` when the line asked
 /// for shutdown.
-fn handle_line(handle: &ServerHandle, line: &str, control_out: &mut dyn Write) -> bool {
-    match line.trim() {
+fn handle_line(handle: &ServerHandle, line: &[u8], control_out: &mut dyn Write) -> bool {
+    let Ok(text) = std::str::from_utf8(line) else {
+        // Not a control verb: the server rejects it like any other
+        // unparseable request.
+        handle.submit_line(line);
+        return false;
+    };
+    match text.trim() {
         "" => false,
         "shutdown" => {
             SHUTDOWN.store(true, Ordering::SeqCst);
@@ -284,10 +311,10 @@ pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
                                 Ok(w) => w,
                                 Err(_) => return,
                             };
-                            let reader = std::io::BufReader::new(conn);
-                            for line in reader.lines() {
-                                let Ok(line) = line else { break };
-                                if handle_line(&handle, &line, &mut writer) {
+                            let mut reader = std::io::BufReader::new(conn);
+                            let mut buf = Vec::new();
+                            while let Some(line) = next_line(&mut reader, &mut buf) {
+                                if handle_line(&handle, line, &mut writer) {
                                     break;
                                 }
                             }
@@ -307,11 +334,11 @@ pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
     let stdin_handle = server.handle();
     let once = opts.once;
     let stdin_reader = std::thread::spawn(move || {
-        let stdin = std::io::stdin();
+        let mut stdin = std::io::stdin().lock();
         let mut stderr = std::io::stderr();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if handle_line(&stdin_handle, &line, &mut stderr) {
+        let mut buf = Vec::new();
+        while let Some(line) = next_line(&mut stdin, &mut buf) {
+            if handle_line(&stdin_handle, line, &mut stderr) {
                 return;
             }
             if SHUTDOWN.load(Ordering::SeqCst) {
@@ -368,8 +395,10 @@ pub fn cmd_batch(
     threads: Option<usize>,
     datasets: usize,
 ) -> Result<i32, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let blank = |line: &[u8]| std::str::from_utf8(line).is_ok_and(|t| t.trim().is_empty());
+    let lines: Vec<&[u8]> =
+        bytes.split_inclusive(|&b| b == b'\n').map(line_body).filter(|l| !blank(l)).collect();
     let cfg = ServeConfig {
         threads: threads.unwrap_or(0),
         // The whole file is in memory already: admit every line.

@@ -46,7 +46,7 @@ fn generate(dir: &Path, args: &[&str]) -> String {
 }
 
 /// Run `serve --once` over `input`, returning (stdout, stderr).
-fn serve_once(input: &str, envs: &[(&str, &str)], extra: &[&str]) -> (String, String) {
+fn serve_once(input: impl AsRef<[u8]>, envs: &[(&str, &str)], extra: &[&str]) -> (String, String) {
     let mut cmd = bin();
     cmd.args(["serve", "--once", "--stats-secs", "0"])
         .args(extra)
@@ -57,7 +57,7 @@ fn serve_once(input: &str, envs: &[(&str, &str)], extra: &[&str]) -> (String, St
         cmd.env(k, v);
     }
     let mut child = cmd.spawn().expect("spawn serve");
-    child.stdin.take().unwrap().write_all(input.as_bytes()).expect("feed stdin");
+    child.stdin.take().unwrap().write_all(input.as_ref()).expect("feed stdin");
     let out = child.wait_with_output().expect("serve exits");
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(out.status.success(), "serve exited nonzero:\n{stderr}");
@@ -122,7 +122,7 @@ fn batch_garbage_lines_become_typed_unsupported_outcomes_in_order() {
 
     // Both doors word a garbage line the same way: serve's rejection
     // detail is batch's unsupported reason.
-    let (replies, _) = serve_once(&format!("{}\n", lines[1]), &[], &[]);
+    let (replies, _) = serve_once(format!("{}\n", lines[1]), &[], &[]);
     let reply = ServeReply::from_json(replies.trim()).expect("one typed reply");
     match (&reply.outcome, &outcomes[1]) {
         (ServeOutcome::Rejected { detail, .. }, SolveOutcome::Unsupported { reason }) => {
@@ -169,6 +169,93 @@ fn deeply_nested_lines_get_typed_rejections_on_both_doors() {
         other => panic!("deep line: unexpected outcome {other:?}"),
     }
     assert!(matches!(outcomes[1], SolveOutcome::Solution { .. }), "{:?}", outcomes[1]);
+}
+
+/// A valid line, an undecodable one, a valid one: the raw input of the
+/// invalid-UTF-8 regression tests on every door.
+fn lines_around_invalid_utf8() -> Vec<u8> {
+    [request_line(2.0).as_bytes(), b"\xff\xfe bad", request_line(1.5).as_bytes(), b""].join(&b'\n')
+}
+
+/// The replies (or batch outcomes, as the reply detail) to
+/// [`lines_around_invalid_utf8`]: both requests solved, the middle line a
+/// typed parse rejection.
+fn assert_only_the_undecodable_line_is_rejected(details: &[Result<(), String>]) {
+    assert_eq!(details.len(), 3, "one reply per line: {details:?}");
+    assert_eq!(details[0], Ok(()));
+    assert_eq!(details[2], Ok(()));
+    assert_eq!(details[1], Err("unparseable request: invalid UTF-8 at byte 0".to_string()));
+}
+
+fn serve_details(stdout: &str) -> Vec<Result<(), String>> {
+    let mut replies: Vec<ServeReply> =
+        stdout.lines().map(|l| ServeReply::from_json(l).expect("typed reply")).collect();
+    replies.sort_by_key(|r| r.seq);
+    replies
+        .into_iter()
+        .map(|r| match r.outcome {
+            ServeOutcome::Done { result: SolveOutcome::Solution { .. } } => Ok(()),
+            ServeOutcome::Rejected { reason: RejectReason::Invalid, detail } => Err(detail),
+            other => panic!("unexpected reply {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn an_undecodable_stdin_line_costs_no_other_line_its_reply() {
+    // Regression: the stdin reader stopped at the first invalid-UTF-8
+    // line, so every later line went unanswered.
+    let (stdout, _) = serve_once(lines_around_invalid_utf8(), &[], &[]);
+    assert_only_the_undecodable_line_is_rejected(&serve_details(&stdout));
+}
+
+#[test]
+fn an_undecodable_socket_line_costs_no_other_line_its_reply() {
+    let dir = scratch("socket-utf8");
+    let sock = dir.join("serve.sock");
+    let child = bin()
+        .args(["serve", "--stats-secs", "0", "--socket"])
+        .arg(&sock)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut waited = 0u64;
+    while !sock.exists() {
+        assert!(waited < 10_000, "socket never appeared");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        waited += 20;
+    }
+    let mut stream = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    stream.write_all(&lines_around_invalid_utf8()).expect("send lines");
+    // The connection still reads verbs after the undecodable line.
+    stream.write_all(b"shutdown\n").expect("send shutdown verb");
+    let out = child.wait_with_output().expect("serve exits after shutdown");
+    assert!(out.status.success(), "shutdown must exit 0");
+    assert_only_the_undecodable_line_is_rejected(&serve_details(&String::from_utf8_lossy(
+        &out.stdout,
+    )));
+}
+
+#[test]
+fn an_undecodable_batch_line_costs_no_other_line_its_outcome() {
+    // Regression: `batch` refused the whole file ("stream did not contain
+    // valid UTF-8").
+    let dir = scratch("batch-utf8");
+    let path = dir.join("batch.jsonl");
+    std::fs::write(&path, lines_around_invalid_utf8()).expect("write batch file");
+    let (code, stdout) = batch(&path, &[], &[]);
+    assert_eq!(code, Some(0));
+    let details: Vec<_> = stdout
+        .lines()
+        .map(|l| match SolveOutcome::from_json(l).expect("typed outcome") {
+            SolveOutcome::Solution { .. } => Ok(()),
+            SolveOutcome::Unsupported { reason } => Err(reason),
+            other => panic!("unexpected outcome {other:?}"),
+        })
+        .collect();
+    assert_only_the_undecodable_line_is_rejected(&details);
 }
 
 #[test]
@@ -230,6 +317,7 @@ fn batch_output_matches_the_committed_golden_bytes_at_every_thread_count() {
             "checked_odd_speeds.expected.jsonl",
             &["--check", "--datasets", "1024"][..],
         ),
+        ("hostile_lines.jsonl", "hostile_lines.expected.jsonl", &[][..]),
     ];
     for (input, expected, flags) in golden {
         let expected = std::fs::read_to_string(specs.join(expected)).expect("golden file");
@@ -372,7 +460,7 @@ fn serve_freezes_a_poisoned_request_into_one_replayable_bundle() {
         example.lines().nth(4).expect("line 5").replace("\"e_stat\":0", "\"e_stat\":1e999");
     assert!(poison.contains("1e999"), "the poison replacement must hit");
     let (replies, stderr) = serve_once(
-        &format!("{poison}\n"),
+        format!("{poison}\n"),
         &[("CPO_BUNDLE_DIR", bundles.to_str().unwrap())],
         &["--check"],
     );

@@ -5,6 +5,19 @@
 //! single versioned [`Instance`] document that round-trips through JSON
 //! (via `serde`), so experiments can be archived, shared and re-run
 //! bit-for-bit.
+//!
+//! The JSON layer itself ([`json_value`]) is linear in the line length on
+//! both sides. The parser copies each plain run of a string, up to the
+//! next `"` or `\`, with one `push_str`: the input is already a `&str`
+//! and both stop bytes are ASCII, so no run needs re-validating. The
+//! writer renders a whole [`json_value::Value`] into one `String`:
+//! numbers are formatted in place and unescaped runs are copied whole, in
+//! both the compact (JSONL) and the pretty style. The `Value` tree with
+//! its `BTreeMap` objects stays between text and types on purpose: it
+//! gives sorted keys on output and last-wins duplicate keys on input, and
+//! the parse error texts come from it, which the serve goldens pin in
+//! every `Rejected{Invalid}` detail. A single-pass deserializer would
+//! change both.
 
 use crate::application::AppSet;
 use crate::mapping::Mapping;
@@ -160,6 +173,13 @@ pub mod serde_json_error {
         Ok(v.compact())
     }
 
+    /// The UTF-8 text of a raw input line, or the typed error an
+    /// undecodable line gets instead of a parse.
+    pub fn from_utf8(bytes: &[u8]) -> Result<&str, Error> {
+        std::str::from_utf8(bytes)
+            .map_err(|e| Error(format!("invalid UTF-8 at byte {}", e.valid_up_to())))
+    }
+
     /// Deserialize any `DeserializeOwned` value from JSON text.
     pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T, Error> {
         let v = super::json_value::parse(s)?;
@@ -195,86 +215,101 @@ pub mod json_value {
     impl Value {
         /// Render with 2-space indentation.
         pub fn pretty(&self, indent: usize) -> String {
-            self.render(Some(indent))
+            let mut out = String::new();
+            self.render(&mut out, Some(indent));
+            out
         }
 
         /// Render on one line with no whitespace (JSONL-friendly).
         pub fn compact(&self) -> String {
-            self.render(None)
+            let mut out = String::new();
+            self.render(&mut out, None);
+            out
         }
 
-        /// The single renderer behind both styles: `Some(level)` pretty
-        /// prints at that indentation depth, `None` packs one line.
-        fn render(&self, indent: Option<usize>) -> String {
-            let inner = |v: &Value| v.render(indent.map(|i| i + 1));
-            // (open, item prefix, item separator, close) per style.
-            let seams = |open: char, close: char| match indent {
-                Some(i) => (
-                    format!("{open}\n"),
-                    "  ".repeat(i + 1),
-                    ",\n".to_string(),
-                    format!("\n{}{close}", "  ".repeat(i)),
-                ),
-                None => (open.to_string(), String::new(), ",".to_string(), close.to_string()),
-            };
+        /// The single renderer behind both styles, appending to `out`:
+        /// `Some(level)` pretty prints at that indentation depth, `None`
+        /// packs one line.
+        fn render(&self, out: &mut String, indent: Option<usize>) {
+            let inner = indent.map(|i| i + 1);
             match self {
-                Value::Null => "null".into(),
-                Value::Bool(b) => b.to_string(),
-                Value::Num(x) => format_number(*x),
-                Value::Str(s) => escape(s),
+                Value::Null => out.push_str("null"),
+                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Value::Num(x) => write_number(out, *x),
+                Value::Str(s) => write_escaped(out, s),
+                Value::Arr(items) if items.is_empty() => out.push_str("[]"),
+                Value::Obj(map) if map.is_empty() => out.push_str("{}"),
                 Value::Arr(items) => {
-                    if items.is_empty() {
-                        return "[]".into();
+                    out.push('[');
+                    for (i, v) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        line_break(out, inner);
+                        v.render(out, inner);
                     }
-                    let (open, pad, sep, close) = seams('[', ']');
-                    let body: Vec<String> =
-                        items.iter().map(|v| format!("{pad}{}", inner(v))).collect();
-                    format!("{open}{}{close}", body.join(&sep))
+                    line_break(out, indent);
+                    out.push(']');
                 }
                 Value::Obj(map) => {
-                    if map.is_empty() {
-                        return "{}".into();
+                    out.push('{');
+                    for (i, (k, v)) in map.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        line_break(out, inner);
+                        write_escaped(out, k);
+                        out.push_str(if indent.is_some() { ": " } else { ":" });
+                        v.render(out, inner);
                     }
-                    let (open, pad, sep, close) = seams('{', '}');
-                    let colon = if indent.is_some() { ": " } else { ":" };
-                    let body: Vec<String> = map
-                        .iter()
-                        .map(|(k, v)| format!("{pad}{}{colon}{}", escape(k), inner(v)))
-                        .collect();
-                    format!("{open}{}{close}", body.join(&sep))
+                    line_break(out, indent);
+                    out.push('}');
                 }
             }
         }
     }
 
-    fn format_number(x: f64) -> String {
+    /// Pretty style only: a newline and `level` two-space indents.
+    fn line_break(out: &mut String, indent: Option<usize>) {
+        if let Some(level) = indent {
+            out.push('\n');
+            for _ in 0..level {
+                out.push_str("  ");
+            }
+        }
+    }
+
+    fn write_number(out: &mut String, x: f64) {
         if x.fract() == 0.0 && x.abs() < 9e15 {
-            format!("{}", x as i64)
+            write!(out, "{}", x as i64)
         } else {
-            let mut s = String::new();
-            write!(s, "{x:?}").expect("write to string");
-            s
+            write!(out, "{x:?}")
         }
+        .expect("write to string");
     }
 
-    fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
+    /// `s` as a quoted JSON string. Every byte that needs an escape is
+    /// ASCII, so the runs between them are copied whole.
+    fn write_escaped(out: &mut String, s: &str) {
         out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
             }
+            out.push_str(&s[run..i]);
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                b'\n' => out.push_str("\\n"),
+                b'\r' => out.push_str("\\r"),
+                b'\t' => out.push_str("\\t"),
+                _ => write!(out, "\\u{b:04x}").expect("write to string"),
+            }
+            run = i + 1;
         }
+        out.push_str(&s[run..]);
         out.push('"');
-        out
     }
 
     // -- serializer: T -> Value ------------------------------------------
@@ -538,7 +573,7 @@ pub mod json_value {
 
     /// Parse JSON text into a [`Value`].
     pub fn parse(s: &str) -> Result<Value, Error> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { src: s, bytes: s.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -554,6 +589,8 @@ pub mod json_value {
     pub const MAX_DEPTH: usize = 128;
 
     struct Parser<'a> {
+        src: &'a str,
+        /// `src` as bytes: every byte the grammar branches on is ASCII.
         bytes: &'a [u8],
         pos: usize,
         /// Containers currently open around `pos`.
@@ -607,8 +644,7 @@ pub mod json_value {
                             break;
                         }
                     }
-                    let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|e| Error(e.to_string()))?;
+                    let text = &self.src[start..self.pos];
                     text.parse::<f64>().map(Value::Num).map_err(|e| Error(e.to_string()))
                 }
                 _ => Err(Error(format!("unexpected character at byte {}", self.pos))),
@@ -686,52 +722,72 @@ pub mod json_value {
             self.expect(b'"')?;
             let mut out = String::new();
             loop {
+                // Copy the plain run up to the next `"` or `\` whole: both
+                // are ASCII, so the run ends on a char boundary of the
+                // already-valid input.
+                let start = self.pos;
+                let run = self.bytes[start..].iter().position(|&b| b == b'"' || b == b'\\');
+                self.pos = run.map_or(self.bytes.len(), |n| start + n);
+                out.push_str(&self.src[start..self.pos]);
                 match self.peek() {
                     None => return Err(Error("unterminated string".into())),
                     Some(b'"') => {
                         self.pos += 1;
                         return Ok(out);
                     }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'u') => {
-                                if self.pos + 4 >= self.bytes.len() {
-                                    return Err(Error("truncated \\u escape".into()));
-                                }
-                                let hex =
-                                    std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                        .map_err(|e| Error(e.to_string()))?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|e| Error(e.to_string()))?;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| Error("invalid \\u escape".into()))?,
-                                );
-                                self.pos += 4;
-                            }
-                            other => {
-                                return Err(Error(format!("invalid escape {other:?}")));
-                            }
-                        }
-                        self.pos += 1;
-                    }
                     Some(_) => {
-                        // Consume one UTF-8 character.
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|e| Error(e.to_string()))?;
-                        let c = rest.chars().next().expect("non-empty");
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                        self.pos += 1;
+                        out.push(self.escape()?);
+                        self.pos += 1;
                     }
                 }
             }
+        }
+        /// The character escaped by the byte at `pos`, just after a `\`;
+        /// leaves `pos` on the escape's last byte.
+        fn escape(&mut self) -> Result<char, Error> {
+            Ok(match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    let mut code = self.code_unit(self.pos)?;
+                    self.pos += 4;
+                    // A high surrogate followed by an escaped low one is a
+                    // single non-BMP character (RFC 8259 §7); a lone half
+                    // of a pair is refused below.
+                    if (0xD800..0xDC00).contains(&code)
+                        && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                    {
+                        if let Ok(low @ 0xDC00..=0xDFFF) = self.code_unit(self.pos + 2) {
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            self.pos += 6;
+                        }
+                    }
+                    char::from_u32(code).ok_or_else(|| Error("invalid \\u escape".into()))?
+                }
+                other => return Err(Error(format!("invalid escape {other:?}"))),
+            })
+        }
+        /// The UTF-16 code unit of the `\uXXXX` escape whose `u` is at
+        /// `at`: exactly four hex digits.
+        fn code_unit(&self, at: usize) -> Result<u32, Error> {
+            let digits = self
+                .bytes
+                .get(at + 1..at + 5)
+                .ok_or_else(|| Error("truncated \\u escape".into()))?;
+            // The error texts stay those the parser has always given:
+            // `from_utf8`'s for a character split by the four-byte window,
+            // `from_str_radix`'s for any other non-digit. `from_str_radix`
+            // itself would also take a leading `+`.
+            let hex = std::str::from_utf8(digits).map_err(|e| Error(e.to_string()))?;
+            if !digits.iter().all(u8::is_ascii_hexdigit) {
+                return Err(Error("invalid digit found in string".into()));
+            }
+            Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
         }
     }
 
@@ -945,6 +1001,47 @@ mod tests {
         // Far past the cap: rejected, not a stack overflow.
         assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
         assert!(parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_halves_are_refused() {
+        use super::json_value::{parse, Value};
+        // Python's `json.dumps` escapes every non-BMP character this way.
+        assert_eq!(parse(r#""emoji \ud83d\ude00""#).unwrap(), Value::Str("emoji 😀".into()));
+        assert_eq!(parse(r#""\uD800\uDC00""#).unwrap(), Value::Str("\u{10000}".into()));
+        assert_eq!(parse(r#""\uDBFF\uDFFF""#).unwrap(), Value::Str("\u{10FFFF}".into()));
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\n""#,
+            r#""\ud83d\u+e00""#,
+        ] {
+            assert_eq!(parse(lone).unwrap_err().to_string(), "invalid \\u escape", "{lone}");
+        }
+        // A whole request whose description Python escaped.
+        use crate::spec::{Objective, ProblemSpec, SolveRequest, Strategy};
+        let (apps, platform) = section2_example();
+        let problem =
+            ProblemSpec::new(Objective::Period, Strategy::Interval, crate::CommModel::Overlap);
+        let line = SolveRequest::new("DESCRIPTION", apps, platform, problem)
+            .to_json_compact()
+            .unwrap()
+            .replace("DESCRIPTION", r"emoji \ud83d\ude00");
+        assert_eq!(SolveRequest::from_json(&line).unwrap().description, "emoji 😀");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        use super::json_value::{parse, Value};
+        assert_eq!(parse(r#""\u0041\u00e9\u00E9""#).unwrap(), Value::Str("Aéé".into()));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04g1""#, r#""\u004""#] {
+            let err = parse(bad).unwrap_err().to_string();
+            assert_eq!(err, "invalid digit found in string", "{bad}");
+        }
+        assert_eq!(parse(r#""\u004"#).unwrap_err().to_string(), "truncated \\u escape");
     }
 
     #[test]

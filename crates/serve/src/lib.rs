@@ -296,11 +296,11 @@ impl Server {
         Server { inner, workers }
     }
 
-    /// Submit one raw JSONL line: parse errors get a typed
-    /// `Rejected{Invalid}` reply instead of tearing the stream down.
-    /// Returns the admission sequence number of the reply.
-    pub fn submit_line(&self, line: &str) -> u64 {
-        self.inner.submit_line(line)
+    /// Submit one raw JSONL line: a line that is not UTF-8 or does not
+    /// parse gets a typed `Rejected{Invalid}` reply instead of tearing the
+    /// stream down. Returns the admission sequence number of the reply.
+    pub fn submit_line(&self, line: impl AsRef<[u8]>) -> u64 {
+        self.inner.submit_line(line.as_ref())
     }
 
     /// Submit one request. Admission is synchronous: a rejection reply
@@ -356,8 +356,8 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// See [`Server::submit_line`].
-    pub fn submit_line(&self, line: &str) -> u64 {
-        self.inner.submit_line(line)
+    pub fn submit_line(&self, line: impl AsRef<[u8]>) -> u64 {
+        self.inner.submit_line(line.as_ref())
     }
 
     /// See [`Server::submit`].
@@ -386,9 +386,11 @@ impl Inner {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn submit_line(&self, line: &str) -> u64 {
-        match SolveRequest::from_json(line) {
-            Ok(req) => self.submit(req, Some(line)),
+    fn submit_line(&self, line: &[u8]) -> u64 {
+        let parsed = serde_json_error::from_utf8(line)
+            .and_then(|text| Ok((SolveRequest::from_json(text)?, text)));
+        match parsed {
+            Ok((req, text)) => self.submit(req, Some(text)),
             Err(e) => {
                 let seq = self.next_seq();
                 self.stats.rejected_invalid.fetch_add(1, Ordering::Relaxed);

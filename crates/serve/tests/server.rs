@@ -98,7 +98,7 @@ fn garbage_lines_get_typed_invalid_replies() {
     let (sink, replies) = collecting_sink();
     let server = Server::start(serve_cfg(1), sink, ServerHooks::default());
     server.submit_line("this is not json");
-    server.submit_line(&request("ok").with_id("good").to_json_compact().unwrap());
+    server.submit_line(request("ok").with_id("good").to_json_compact().unwrap());
     server.submit_line("{\"version\":99}");
     let stats = server.drain();
     let replies = replies.lock();
@@ -427,4 +427,34 @@ proptest! {
         // Chaos panics surfaced as typed failures, not lost replies.
         prop_assert_eq!(stats.failed, stats.chaos_panics);
     }
+}
+
+#[test]
+fn undecodable_lines_get_the_same_typed_invalid_reply() {
+    let (sink, replies) = collecting_sink();
+    let server = Server::start(serve_cfg(1), sink, ServerHooks::default());
+    let good = request("ok").with_id("good").to_json_compact().unwrap();
+    server.submit_line(b"\xff\xfe bad");
+    server.submit_line(good.as_bytes());
+    server.submit_line(b"{\"id\":\"x\xc3\"}");
+    let stats = server.drain();
+    let mut replies = replies.lock().clone();
+    replies.sort_by_key(|r| r.seq);
+    let details: Vec<_> = replies
+        .iter()
+        .map(|r| match &r.outcome {
+            ServeOutcome::Rejected { reason: RejectReason::Invalid, detail } => detail.as_str(),
+            ServeOutcome::Done { .. } => "done",
+            other => panic!("unexpected outcome {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        details,
+        [
+            "unparseable request: invalid UTF-8 at byte 0",
+            "done",
+            "unparseable request: invalid UTF-8 at byte 8",
+        ]
+    );
+    assert_eq!(stats.rejected_invalid, 2);
 }
