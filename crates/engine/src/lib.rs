@@ -68,12 +68,6 @@ impl<'a> BatchItem<'a> {
     fn instance_key(&self) -> u128 {
         hash_instance(self.apps, self.platform)
     }
-
-    /// Full cache key: precomputed instance digest + spec digest.
-    fn cache_key(&self, instance_key: u128) -> CacheKey {
-        (instance_key, hash_spec(self.spec))
-    }
-
 }
 
 /// A planner verdict computed once by the adaptive cutoff and reused by
@@ -278,9 +272,24 @@ impl Engine {
         spec: &ProblemSpec,
         scratch: &mut RouterScratch,
     ) -> SolveOutcome {
+        let key = (hash_instance(apps, platform), hash_spec(spec));
+        self.solve_keyed(key, apps, platform, spec, scratch)
+    }
+
+    /// [`Engine::solve_with`] for a caller that already holds the
+    /// request's cache key, `(hash_instance(apps, platform),
+    /// hash_spec(spec))`: the serve workers digest each request once, for
+    /// quarantine, and reuse the digest here.
+    pub fn solve_keyed(
+        &self,
+        key: CacheKey,
+        apps: &AppSet,
+        platform: &Platform,
+        spec: &ProblemSpec,
+        scratch: &mut RouterScratch,
+    ) -> SolveOutcome {
         let item = BatchItem::new(apps, platform, spec);
-        let ikey = self.cfg.cache.then(|| item.instance_key());
-        self.solve_item_guarded(None, &item, ikey, None, scratch)
+        self.solve_item_guarded(None, &item, self.cfg.cache.then_some(key), None, scratch)
     }
 
     /// Solve a batch; `results[i]` answers `items[i]`, identical for
@@ -290,18 +299,18 @@ impl Engine {
         if n == 0 {
             return Vec::new();
         }
-        let instance_keys = self.instance_keys(items);
-        let (threads, plans) = self.decide_threads(items, &instance_keys);
+        let keys = self.cache_keys(items);
+        let (threads, plans) = self.decide_threads(items, &keys);
 
         if threads == 1 {
             let mut scratch = RouterScratch::new();
             return items
                 .iter()
-                .zip(&instance_keys)
+                .zip(&keys)
                 .zip(&plans)
                 .enumerate()
-                .map(|(i, ((item, ikey), planned))| {
-                    self.solve_item_guarded(Some(i), item, *ikey, planned.as_ref(), &mut scratch)
+                .map(|(i, ((item, key), planned))| {
+                    self.solve_item_guarded(Some(i), item, *key, planned.as_ref(), &mut scratch)
                 })
                 .collect();
         }
@@ -324,7 +333,7 @@ impl Engine {
                         let out = self.solve_item_guarded(
                             Some(i),
                             &items[i],
-                            instance_keys[i],
+                            keys[i],
                             plans[i].as_ref(),
                             &mut scratch,
                         );
@@ -350,14 +359,15 @@ impl Engine {
     /// callers (and the determinism tests) can observe the decision
     /// without timing anything.
     pub fn effective_threads(&self, items: &[BatchItem<'_>]) -> usize {
-        let keys = self.instance_keys(items);
+        let keys = self.cache_keys(items);
         self.decide_threads(items, &keys).0
     }
 
-    /// Instance cache-key parts, computed once per *distinct* instance
-    /// (batches routinely share one instance across many specs; keying
-    /// must not re-hash it per item). All `None` when the cache is off.
-    fn instance_keys(&self, items: &[BatchItem<'_>]) -> Vec<Option<u128>> {
+    /// Cache keys, with the instance part computed once per *distinct*
+    /// instance (batches routinely share one instance across many specs;
+    /// keying must not re-hash it per item). All `None` when the cache is
+    /// off.
+    fn cache_keys(&self, items: &[BatchItem<'_>]) -> Vec<Option<CacheKey>> {
         if !self.cfg.cache {
             return vec![None; items.len()];
         }
@@ -369,20 +379,21 @@ impl Engine {
                     item.apps as *const AppSet as usize,
                     item.platform as *const Platform as usize,
                 );
-                Some(*by_ptr.entry(ptrs).or_insert_with(|| item.instance_key()))
+                let ikey = *by_ptr.entry(ptrs).or_insert_with(|| item.instance_key());
+                Some((ikey, hash_spec(item.spec)))
             })
             .collect()
     }
 
     /// The cutoff decision behind [`Engine::effective_threads`], reusing
-    /// already-computed instance keys. Also returns the per-item planner
+    /// already-computed cache keys. Also returns the per-item planner
     /// verdicts it produced along the way (`None` for cached items and
     /// whenever the cutoff is inactive), so the solve paths never plan an
     /// item twice.
     fn decide_threads(
         &self,
         items: &[BatchItem<'_>],
-        instance_keys: &[Option<u128>],
+        keys: &[Option<CacheKey>],
     ) -> (usize, Vec<Option<Planned>>) {
         let threads = match self.cfg.threads {
             0 => std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1),
@@ -397,13 +408,7 @@ impl Engine {
         // planning loop below never blocks concurrent lookups on this
         // engine.
         let cached: Vec<bool> = if self.cfg.cache {
-            items
-                .iter()
-                .zip(instance_keys)
-                .map(|(item, ikey)| {
-                    ikey.is_some_and(|ik| self.cache.contains(&item.cache_key(ik)))
-                })
-                .collect()
+            keys.iter().map(|key| key.is_some_and(|k| self.cache.contains(&k))).collect()
         } else {
             vec![false; items.len()]
         };
@@ -459,7 +464,7 @@ impl Engine {
         &self,
         index: Option<usize>,
         item: &BatchItem<'_>,
-        instance_key: Option<u128>,
+        key: Option<CacheKey>,
         planned: Option<&Planned>,
         scratch: &mut RouterScratch,
     ) -> SolveOutcome {
@@ -469,7 +474,7 @@ impl Engine {
                     panic!("injected fault: debug_panic_on_item({i})");
                 }
             }
-            self.solve_item(index, item, instance_key, planned, scratch)
+            self.solve_item(index, item, key, planned, scratch)
         }));
         res.unwrap_or_else(|panic| {
             *scratch = RouterScratch::new();
@@ -483,11 +488,10 @@ impl Engine {
         &self,
         index: Option<usize>,
         item: &BatchItem<'_>,
-        instance_key: Option<u128>,
+        key: Option<CacheKey>,
         planned: Option<&Planned>,
         scratch: &mut RouterScratch,
     ) -> SolveOutcome {
-        let key = instance_key.map(|ik| item.cache_key(ik));
         if let Some(k) = &key {
             if let Some(hit) = self.cache.get(k) {
                 self.hits.fetch_add(1, Ordering::Relaxed);

@@ -16,13 +16,16 @@
 //!
 //! `verify` replays the request file against a reply file and asserts
 //! the serve contract: **every** line was answered exactly once — each
-//! request id appears on exactly one reply, and unparseable request
-//! lines are matched one-for-one by id-less `Rejected{Invalid}` replies.
+//! request id appears on exactly one reply, unparseable request lines
+//! (undecodable ones included) are matched one-for-one by id-less
+//! `Rejected{Invalid}` replies, and requests without an id by the other
+//! id-less replies.
 //! Exit 0 when the contract holds, 1 with a diagnostic when it does not.
 //!
 //! Deterministic: same flags + seed → bytewise-identical stream.
 
 use cpo_model::generator::section2_example;
+use cpo_model::io::serde_json_error;
 use cpo_model::prelude::*;
 use cpo_model::spec::Strategy;
 use cpo_serve::{RejectReason, ServeOutcome, ServeReply};
@@ -142,9 +145,16 @@ fn cmd_gen(opts: &GenOptions) -> i32 {
 }
 
 fn cmd_verify(requests_path: &str, responses_path: &str) -> i32 {
-    let read = |path: &str| -> Vec<String> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => text.lines().filter(|l| !l.trim().is_empty()).map(String::from).collect(),
+    // Lines stay bytes: hostile traffic holds lines that are not UTF-8,
+    // and the server answers each of them like any other garbage line.
+    let read = |path: &str| -> Vec<Vec<u8>> {
+        match std::fs::read(path) {
+            Ok(bytes) => bytes
+                .split(|&b| b == b'\n')
+                .map(|l| l.strip_suffix(b"\r").unwrap_or(l))
+                .filter(|l| !std::str::from_utf8(l).is_ok_and(|t| t.trim().is_empty()))
+                .map(<[u8]>::to_vec)
+                .collect(),
             Err(e) => {
                 eprintln!("cannot read `{path}`: {e}");
                 std::process::exit(2);
@@ -154,15 +164,17 @@ fn cmd_verify(requests_path: &str, responses_path: &str) -> i32 {
     let requests = read(requests_path);
     let responses = read(responses_path);
 
-    // What was asked: id → count for parseable lines, plus the garbage
-    // line count.
+    // What was asked: id → count for parseable lines, the id-less
+    // requests, and the garbage line count (undecodable lines included).
     let mut want: HashMap<String, u64> = HashMap::new();
+    let mut anonymous = 0u64;
     let mut garbage = 0u64;
     for line in &requests {
-        match SolveRequest::from_json(line) {
+        let parsed = serde_json_error::from_utf8(line).and_then(SolveRequest::from_json);
+        match parsed {
             Ok(req) => match req.id {
                 Some(id) => *want.entry(id).or_insert(0) += 1,
-                None => garbage += 1, // id-less requests verify like garbage
+                None => anonymous += 1,
             },
             Err(_) => garbage += 1,
         }
@@ -173,7 +185,8 @@ fn cmd_verify(requests_path: &str, responses_path: &str) -> i32 {
     let mut idless = 0u64;
     let mut invalid_idless = 0u64;
     for line in &responses {
-        match ServeReply::from_json(line) {
+        let line = String::from_utf8_lossy(line);
+        match ServeReply::from_json(&line) {
             Ok(reply) => match reply.id {
                 Some(id) => *got.entry(id).or_insert(0) += 1,
                 None => {
@@ -207,10 +220,12 @@ fn cmd_verify(requests_path: &str, responses_path: &str) -> i32 {
             failures += 1;
         }
     }
-    if idless != garbage || invalid_idless != garbage {
+    // Every garbage line and only those get an id-less typed Invalid;
+    // an id-less request gets some other id-less reply.
+    if idless != garbage + anonymous || invalid_idless != garbage {
         eprintln!(
-            "verify: {garbage} garbage request lines but {idless} id-less replies \
-             ({invalid_idless} typed Invalid)"
+            "verify: {garbage} garbage and {anonymous} id-less request lines but {idless} \
+             id-less replies ({invalid_idless} typed Invalid)"
         );
         failures += 1;
     }

@@ -10,7 +10,13 @@
 //!   the same lines from any number of connections.
 //!
 //! All solve replies stream to **stdout** as JSONL `ServeReply` lines,
-//! whatever the ingress — the envelope `id` is the correlation key.
+//! whatever the ingress — the envelope `id` is the correlation key. The
+//! ingress threads only frame lines; the server's workers parse them.
+//! stdin waits on a full queue (a pipe sheds nothing), a socket
+//! connection gets `queue_full` replies. Replies are rendered on the
+//! thread that answers and written through one 8 KiB buffer, flushed as
+//! soon as no request is queued behind the reply just written, and at
+//! drain.
 //! Control verbs (on either ingress): `shutdown` starts a graceful
 //! drain, `stats` prints an immediate stats line, `reset-quarantine`
 //! reopens quarantined digests. Periodic stats lines (and the final
@@ -18,10 +24,10 @@
 //! the same graceful drain as `shutdown`.
 //!
 //! `batch FILE` is an ordered drain of the same server: every non-blank
-//! line goes through `submit_line`, so its admission seq is its line
-//! index; each reply is rendered into slot `seq` and the slots are
-//! written in input order once the server has drained. A batch line is
-//! the reply's [`batch_outcome`].
+//! line goes through `submit_line_wait` at the default queue capacity, so
+//! its seq is its line index and no line is shed; each reply is rendered
+//! into slot `seq` and the slots are written in input order once the
+//! server has drained. A batch line is the reply's [`batch_outcome`].
 //!
 //! Both doors render through [`render`] and freeze failures through the
 //! same trust hooks. Fault injection: `CPO_SERVE_CHAOS` (+
@@ -35,10 +41,10 @@ use cpo_serve::{
     ServerHandle, ServerHooks, CHECK_MISMATCH,
 };
 use std::borrow::Cow;
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{BufRead, BufWriter, Stdout, Write};
 use std::os::unix::net::UnixListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// CLI options for `serve` (parsed by the binary's flag helpers).
 pub struct ServeCliOptions {
@@ -222,13 +228,26 @@ fn next_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> Option<&'b 
     }
 }
 
-/// One line handled from any ingress. Returns `true` when the line asked
-/// for shutdown.
-fn handle_line(handle: &ServerHandle, line: &[u8], control_out: &mut dyn Write) -> bool {
+/// One line handled from any ingress; a request line waits on a full
+/// queue when `wait` is set. Returns `true` when the line asked for
+/// shutdown.
+fn handle_line(
+    handle: &ServerHandle,
+    line: &[u8],
+    wait: bool,
+    control_out: &mut dyn Write,
+) -> bool {
+    let submit = |line: &[u8]| {
+        if wait {
+            handle.submit_line_wait(line);
+        } else {
+            handle.submit_line(line);
+        }
+    };
     let Ok(text) = std::str::from_utf8(line) else {
         // Not a control verb: the server rejects it like any other
         // unparseable request.
-        handle.submit_line(line);
+        submit(line);
         return false;
     };
     match text.trim() {
@@ -251,7 +270,7 @@ fn handle_line(handle: &ServerHandle, line: &[u8], control_out: &mut dyn Write) 
             false
         }
         request => {
-            handle.submit_line(request);
+            submit(request.as_bytes());
             false
         }
     }
@@ -262,6 +281,26 @@ fn stats_line(handle: &ServerHandle) {
     match cpo_model::io::serde_json_error::to_string(&snap) {
         Ok(line) => eprintln!("{line}"),
         Err(e) => eprintln!("stats line unserializable: {e}"),
+    }
+}
+
+/// The `serve` reply stream: stdout behind std's default 8 KiB buffer.
+struct ReplyOut {
+    out: BufWriter<Stdout>,
+    /// The server whose backlog decides when to flush; `None` before
+    /// start and after drain, when every reply is flushed at once.
+    server: Option<ServerHandle>,
+}
+
+impl ReplyOut {
+    /// Write one rendered reply line. It is flushed unless a queued
+    /// request will write (and flush) after it, so a reply waits behind
+    /// at most a buffer's worth of later replies.
+    fn write_line(&mut self, line: &str) {
+        let _ = self.out.write_all(line.as_bytes());
+        if self.server.as_ref().is_none_or(|s| s.backlog() == 0) {
+            let _ = self.out.flush();
+        }
     }
 }
 
@@ -279,14 +318,17 @@ pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
     };
     install_signal_handlers();
 
-    // Replies: JSONL on stdout, one locked write per reply.
-    let sink: ReplySink = Arc::new(move |reply| {
-        let line = render(reply, true);
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        let _ = writeln!(out, "{line}");
-        let _ = out.flush();
-    });
+    // Replies: JSONL on stdout, rendered outside the lock.
+    let out = ReplyOut { out: BufWriter::new(std::io::stdout()), server: None };
+    let out = Arc::new(Mutex::new(out));
+    let sink: ReplySink = {
+        let out = Arc::clone(&out);
+        Arc::new(move |reply| {
+            let mut line = render(reply, true);
+            line.push('\n');
+            out.lock().unwrap().write_line(&line);
+        })
+    };
 
     let server = match start(cfg, sink, opts.check, opts.datasets) {
         Ok(server) => server,
@@ -295,6 +337,7 @@ pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
             return 2;
         }
     };
+    out.lock().unwrap().server = Some(server.handle());
     eprintln!("serve: ready (queue={}, strikes={})", opts.queue, opts.strikes);
 
     // Socket ingress: one handler thread per connection.
@@ -314,7 +357,7 @@ pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
                             let mut reader = std::io::BufReader::new(conn);
                             let mut buf = Vec::new();
                             while let Some(line) = next_line(&mut reader, &mut buf) {
-                                if handle_line(&handle, line, &mut writer) {
+                                if handle_line(&handle, line, false, &mut writer) {
                                     break;
                                 }
                             }
@@ -338,7 +381,7 @@ pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
         let mut stderr = std::io::stderr();
         let mut buf = Vec::new();
         while let Some(line) = next_line(&mut stdin, &mut buf) {
-            if handle_line(&stdin_handle, line, &mut stderr) {
+            if handle_line(&stdin_handle, line, true, &mut stderr) {
                 return;
             }
             if SHUTDOWN.load(Ordering::SeqCst) {
@@ -365,6 +408,13 @@ pub fn cmd_serve(opts: ServeCliOptions) -> i32 {
     // line, exit 0. The stdin thread may still be blocked on a read;
     // joining it only in --once mode (where EOF is guaranteed).
     let final_snap = server.drain();
+    {
+        // Drop the handle (it keeps the server alive) and flush what the
+        // workers left buffered; later replies flush one by one.
+        let mut out = out.lock().unwrap();
+        out.server = None;
+        let _ = out.out.flush();
+    }
     if once {
         let _ = stdin_reader.join();
     }
@@ -401,13 +451,10 @@ pub fn cmd_batch(
         bytes.split_inclusive(|&b| b == b'\n').map(line_body).filter(|l| !blank(l)).collect();
     let cfg = ServeConfig {
         threads: threads.unwrap_or(0),
-        // The whole file is in memory already: admit every line.
-        queue_capacity: lines.len(),
         rate_per_sec: 0.0,
-        // Every line is submitted before most are answered, so
-        // quarantine at admission would race the workers and make the
-        // output depend on timing. The first strike of a digest still
-        // exports its bundle.
+        // Workers admit lines concurrently, so quarantine would race the
+        // strikes and make the output depend on timing. The first strike
+        // of a digest still exports its bundle.
         strikes: u32::MAX,
         ..ServeConfig::default()
     };
@@ -427,7 +474,7 @@ pub fn cmd_batch(
     };
     let server = start(cfg, sink, check, datasets)?;
     for (i, line) in lines.iter().enumerate() {
-        let seq = server.submit_line(line);
+        let seq = server.submit_line_wait(line);
         assert_eq!(seq, i as u64, "a batch line's admission seq is its line index");
     }
     let snap = server.drain();

@@ -57,8 +57,14 @@ fn serve_once(input: impl AsRef<[u8]>, envs: &[(&str, &str)], extra: &[&str]) ->
         cmd.env(k, v);
     }
     let mut child = cmd.spawn().expect("spawn serve");
-    child.stdin.take().unwrap().write_all(input.as_ref()).expect("feed stdin");
+    // Feed stdin from its own thread while the replies are read: stdin
+    // waits on a full queue, so writing everything before reading would
+    // stall on a full reply pipe.
+    let mut stdin = child.stdin.take().unwrap();
+    let input = input.as_ref().to_vec();
+    let feeder = std::thread::spawn(move || stdin.write_all(&input));
     let out = child.wait_with_output().expect("serve exits");
+    feeder.join().unwrap().expect("feed stdin");
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(out.status.success(), "serve exited nonzero:\n{stderr}");
     (String::from_utf8_lossy(&out.stdout).to_string(), stderr)
@@ -376,6 +382,71 @@ fn serve_once_answers_every_line_exactly_once() {
     let reqs = generate(&dir, &["--mix", "mixed", "--count", "48", "--seed", "3", "--garbage", "2"]);
     let (replies, _) = serve_once(&reqs, &[], &[]);
     verify(&dir, &replies);
+}
+
+#[test]
+fn a_replayed_file_sheds_nothing_and_answers_alike_at_every_thread_count() {
+    // stdin waits on a full queue, so a file replayed as fast as the pipe
+    // takes it is answered in full at the default queue capacity.
+    let dir = scratch("replay");
+    let reqs = generate(&dir, &["--mix", "mixed", "--count", "1200", "--seed", "21"]);
+    let mut answers = Vec::new();
+    for threads in ["1", "2", "4"] {
+        let (replies, _) =
+            serve_once(&reqs, &[], &["--threads", threads, "--check", "--datasets", "1024"]);
+        verify(&dir, &replies);
+        let mut lines: Vec<String> = replies
+            .lines()
+            .map(|l| {
+                let reply = ServeReply::from_json(l).expect("typed reply");
+                assert!(
+                    !matches!(
+                        reply.outcome,
+                        ServeOutcome::Rejected { reason: RejectReason::QueueFull, .. }
+                    ),
+                    "--threads {threads}: a piped line was shed: {l}"
+                );
+                ServeReply { elapsed_ms: 0.0, ..reply }.to_json_compact().unwrap()
+            })
+            .collect();
+        lines.sort();
+        assert_eq!(lines.len(), 1200);
+        answers.push((threads, lines));
+    }
+    for (threads, lines) in &answers[1..] {
+        assert!(lines == &answers[0].1, "--threads {threads} answers differ from --threads 1");
+    }
+}
+
+#[test]
+fn a_reply_is_written_before_stdin_closes() {
+    use std::io::{BufRead, BufReader};
+    // A lone request on an open pipe must not sit in the reply buffer: the
+    // writer flushes once nothing is queued behind the reply.
+    let mut child = bin()
+        .args(["serve", "--once", "--stats-secs", "0"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    let mut stdin = child.stdin.take().unwrap();
+    writeln!(stdin, "{}", request_line(2.0)).expect("send request");
+    let stdout = child.stdout.take().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut line = String::new();
+        let _ = BufReader::new(stdout).read_line(&mut line);
+        let _ = tx.send(line);
+    });
+    let reply = rx.recv_timeout(std::time::Duration::from_secs(20));
+    drop(stdin);
+    let status = child.wait().expect("serve exits at EOF");
+    let reply = reply.expect("the reply arrives while stdin is still open");
+    let reply = ServeReply::from_json(reply.trim()).expect("typed reply");
+    assert_eq!(reply.id.as_deref(), Some("e2e-2"));
+    assert!(matches!(reply.outcome, ServeOutcome::Done { .. }), "{reply:?}");
+    assert!(status.success());
 }
 
 #[test]

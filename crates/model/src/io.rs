@@ -176,8 +176,17 @@ pub mod serde_json_error {
     /// The UTF-8 text of a raw input line, or the typed error an
     /// undecodable line gets instead of a parse.
     pub fn from_utf8(bytes: &[u8]) -> Result<&str, Error> {
-        std::str::from_utf8(bytes)
-            .map_err(|e| Error(format!("invalid UTF-8 at byte {}", e.valid_up_to())))
+        std::str::from_utf8(bytes).map_err(utf8_error)
+    }
+
+    /// [`from_utf8`] for an owned line: valid bytes become the text
+    /// without a copy.
+    pub fn from_utf8_owned(bytes: Vec<u8>) -> Result<String, Error> {
+        String::from_utf8(bytes).map_err(|e| utf8_error(e.utf8_error()))
+    }
+
+    fn utf8_error(e: std::str::Utf8Error) -> Error {
+        Error(format!("invalid UTF-8 at byte {}", e.valid_up_to()))
     }
 
     /// Deserialize any `DeserializeOwned` value from JSON text.

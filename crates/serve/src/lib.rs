@@ -4,21 +4,35 @@
 //! robustness layers the ROADMAP's serving story needs — each one a
 //! *typed* degraded mode, never a silent drop:
 //!
-//! * **Admission control** ([`queue`], [`tenant`]): a full queue or an
-//!   out-of-tokens tenant gets an immediate `Rejected{..}` reply; the
-//!   accept loop never blocks on solver progress.
-//! * **Deadlines**: `deadline_ms` budgets are enforced at dequeue and
-//!   again at plan time via [`Plan::cost_estimate`] — provably
-//!   over-budget work is shed *before* it burns a worker, optionally
-//!   downgrading to a heuristic plan that fits the budget.
+//! * **Framing on the feeder, gates on the workers.** A feeding thread
+//!   (stdin, a socket connection, `batch`) only frames: `submit_line`
+//!   assigns the seq and the arrival time and queues the raw bytes. A
+//!   worker then runs the gates in order — UTF-8 decode and parse, the
+//!   structural digest, quarantine, the tenant bucket charged at the
+//!   arrival time — before it solves. The feeder parses only when it must
+//!   answer a line itself: on a full queue or while draining; those
+//!   replies still echo the request's `id` and `tenant`. Stats'
+//!   `accepted` counts the requests that passed the gates.
+//! * **Admission control** ([`queue`], [`tenant`]): a gate that refuses
+//!   a request answers it with a `Rejected{..}` reply and
+//!   `elapsed_ms: 0.0`. A full queue is answered at once on
+//!   [`Server::submit_line`] (socket clients back off on
+//!   `queue_full`), while [`Server::submit_line_wait`] blocks until a
+//!   worker frees a slot (stdin and `batch` shed nothing).
+//! * **Deadlines**: `deadline_ms` budgets count from arrival and are
+//!   enforced at dequeue and again at plan time via
+//!   [`Plan::cost_estimate`] — provably over-budget work is shed
+//!   *before* it burns a worker, optionally downgrading to a heuristic
+//!   plan that fits the budget.
 //! * **Quarantine** ([`quarantine`]): engine panics (already degraded to
 //!   typed outcomes by the engine backstop), worker panics and `--check`
 //!   mismatches charge strikes against the request's structural digest;
 //!   repeat offenders are rejected at admission until operator reset,
 //!   and the first strike per digest exports a repro bundle through the
-//!   [`FailureHook`].
+//!   [`FailureHook`]. The admission digest is also the cache key of the
+//!   solve ([`Engine::solve_keyed`]), so each request is hashed once.
 //! * **Graceful drain**: [`Server::drain`] closes the queue, lets the
-//!   workers finish every accepted request, and joins them. The
+//!   workers finish every queued request, and joins them. The
 //!   invariant — proven by the exactly-once property test — is one reply
 //!   per submitted request, always.
 //! * **Chaos** ([`chaos`]): deterministic fault injection (worker
@@ -27,10 +41,10 @@
 //!
 //! The crate is transport-free: callers push [`SolveRequest`]s (or raw
 //! JSONL lines) in and receive [`ServeReply`]s through a [`ReplySink`]
-//! closure. stdin/Unix-socket framing, the ordered `batch` drain, stats
-//! printing and bundle export live in the `cpo-experiments` binary,
-//! wired in through hooks so this crate never depends on the trust
-//! subsystem above it.
+//! closure. stdin/Unix-socket framing, the ordered `batch` drain, reply
+//! buffering, stats printing and bundle export live in the
+//! `cpo-experiments` binary, wired in through hooks so this crate never
+//! depends on the trust subsystem above it.
 
 pub mod chaos;
 pub mod quarantine;
@@ -74,7 +88,8 @@ pub const CHECK_MISMATCH: &str = "check mismatch: ";
 pub struct ServeConfig {
     /// Worker threads (`0` = one per available core).
     pub threads: usize,
-    /// Ingress queue capacity (admission rejects beyond it).
+    /// Ingress queue capacity: beyond it [`Server::submit_line`] answers
+    /// `queue_full` and [`Server::submit_line_wait`] waits.
     pub queue_capacity: usize,
     /// Per-tenant token refill rate, requests/second (`0` = unlimited).
     pub rate_per_sec: f64,
@@ -158,7 +173,7 @@ pub enum ServeOutcome {
     Deadline {
         /// Where the overrun was detected.
         exceeded_at: DeadlineStage,
-        /// The request's budget, milliseconds from admission.
+        /// The request's budget, milliseconds from arrival.
         budget_ms: u64,
         /// Time already spent when the verdict was reached.
         elapsed_ms: u64,
@@ -188,7 +203,7 @@ pub struct ServeReply {
     /// True when the solve ran under a deadline-driven heuristic
     /// downgrade (feasible but not certified optimal).
     pub downgraded: bool,
-    /// Admission→reply latency, milliseconds (0 for admission-time
+    /// Arrival→reply latency, milliseconds (0 for admission
     /// rejections).
     pub elapsed_ms: f64,
     /// The verdict.
@@ -207,9 +222,10 @@ impl ServeReply {
     }
 }
 
-/// Where replies go. Called exactly once per submitted request, from
-/// admission (rejections) or worker threads (everything else) — the sink
-/// must be thread-safe and is expected to be cheap (serialize + write).
+/// Where replies go. Called exactly once per submitted request, from the
+/// feeding thread (a full queue, a draining server) or a worker
+/// (everything else) — the sink must be thread-safe and is expected to be
+/// cheap (serialize + write).
 pub type ReplySink = Arc<dyn Fn(&ServeReply) + Send + Sync>;
 
 /// Failure capture: called on the *first* strike of a digest with the
@@ -234,15 +250,30 @@ pub struct ServerHooks {
     pub check: Option<CheckHook>,
 }
 
-/// One queued unit of accepted work.
+/// What a feeder queued: a raw line, or a request submitted typed.
+enum Work {
+    Line(Vec<u8>),
+    Typed(Box<SolveRequest>),
+}
+
+/// One queued unit of work, as the feeder framed it.
 struct Entry {
+    seq: u64,
+    work: Work,
+    /// Arrival on the server clock: deadlines, `elapsed_ms` and the
+    /// tenant bucket all count from here.
+    arrived_nanos: u64,
+}
+
+/// An entry that passed the worker-side gates.
+struct Admitted {
     seq: u64,
     req: SolveRequest,
     /// The line `req` was parsed from, kept for bundle export: a poisoned
     /// request parses but cannot re-serialize.
-    raw: Option<Box<str>>,
+    raw: Option<String>,
     key: CacheKey,
-    admitted_nanos: u64,
+    arrived_nanos: u64,
 }
 
 struct Inner {
@@ -296,19 +327,29 @@ impl Server {
         Server { inner, workers }
     }
 
-    /// Submit one raw JSONL line: a line that is not UTF-8 or does not
-    /// parse gets a typed `Rejected{Invalid}` reply instead of tearing the
-    /// stream down. Returns the admission sequence number of the reply.
+    /// Submit one raw JSONL line. The caller only frames it: the line is
+    /// queued as bytes and a worker decodes, parses and admits it, so a
+    /// line that is not UTF-8 or does not parse gets a typed
+    /// `Rejected{Invalid}` reply instead of tearing the stream down. A
+    /// full queue is answered `Rejected{QueueFull}` at once. Returns the
+    /// sequence number of the line's one reply.
     pub fn submit_line(&self, line: impl AsRef<[u8]>) -> u64 {
-        self.inner.submit_line(line.as_ref())
+        self.inner.enqueue(Work::Line(line.as_ref().to_vec()), false)
     }
 
-    /// Submit one request. Admission is synchronous: a rejection reply
-    /// is emitted before this returns; an accepted request is answered
-    /// later by a worker. Either way, exactly one reply, carrying the
-    /// returned sequence number.
+    /// [`Server::submit_line`] that waits while the queue is full instead
+    /// of shedding: the ingress for pipes and files, which are read no
+    /// faster than the workers answer them.
+    pub fn submit_line_wait(&self, line: impl AsRef<[u8]>) -> u64 {
+        self.inner.enqueue(Work::Line(line.as_ref().to_vec()), true)
+    }
+
+    /// Submit one request. It is queued as is and admitted by a worker;
+    /// a full queue or a draining server is answered before this returns.
+    /// Either way, exactly one reply, carrying the returned sequence
+    /// number.
     pub fn submit(&self, req: SolveRequest) -> u64 {
-        self.inner.submit(req, None)
+        self.inner.enqueue(Work::Typed(Box::new(req)), false)
     }
 
     /// A cloneable ingress handle for reader threads (stdin, sockets):
@@ -357,12 +398,17 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// See [`Server::submit_line`].
     pub fn submit_line(&self, line: impl AsRef<[u8]>) -> u64 {
-        self.inner.submit_line(line.as_ref())
+        self.inner.enqueue(Work::Line(line.as_ref().to_vec()), false)
+    }
+
+    /// See [`Server::submit_line_wait`].
+    pub fn submit_line_wait(&self, line: impl AsRef<[u8]>) -> u64 {
+        self.inner.enqueue(Work::Line(line.as_ref().to_vec()), true)
     }
 
     /// See [`Server::submit`].
     pub fn submit(&self, req: SolveRequest) -> u64 {
-        self.inner.submit(req, None)
+        self.inner.enqueue(Work::Typed(Box::new(req)), false)
     }
 
     /// See [`Server::snapshot`].
@@ -386,82 +432,88 @@ impl Inner {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn submit_line(&self, line: &[u8]) -> u64 {
-        let parsed = serde_json_error::from_utf8(line)
-            .and_then(|text| Ok((SolveRequest::from_json(text)?, text)));
-        match parsed {
-            Ok((req, text)) => self.submit(req, Some(text)),
-            Err(e) => {
-                let seq = self.next_seq();
-                self.stats.rejected_invalid.fetch_add(1, Ordering::Relaxed);
-                self.emit(ServeReply {
-                    seq,
-                    id: None,
-                    tenant: None,
-                    downgraded: false,
-                    elapsed_ms: 0.0,
-                    outcome: ServeOutcome::Rejected {
-                        reason: RejectReason::Invalid,
-                        detail: format!("unparseable request: {e}"),
-                    },
-                });
-                seq
-            }
-        }
+    /// The feeder's whole share of a request: a seq, an arrival time and
+    /// a queue slot. It answers only what it cannot queue — a full queue
+    /// (`wait == false`) or a draining server.
+    fn enqueue(&self, work: Work, wait: bool) -> u64 {
+        let seq = self.next_seq();
+        let entry = Entry { seq, work, arrived_nanos: self.now_nanos() };
+        let pushed = if wait { self.queue.push_wait(entry) } else { self.queue.push(entry) };
+        let Err(entry) = pushed else {
+            return seq;
+        };
+        // A closed queue means a drain, which sets the flag before it
+        // closes the queue.
+        let (reason, detail) = if self.draining.load(Ordering::SeqCst) {
+            (RejectReason::ShuttingDown, "server is draining".to_string())
+        } else {
+            (RejectReason::QueueFull, format!("queue at capacity {}", self.cfg.queue_capacity))
+        };
+        let reply = match entry.work {
+            Work::Typed(req) => self.rejection(seq, Some(*req), reason, detail),
+            Work::Line(bytes) => match parse_line(bytes) {
+                Ok((req, _)) => self.rejection(seq, Some(req), reason, detail),
+                Err(invalid) => self.rejection(seq, None, RejectReason::Invalid, invalid),
+            },
+        };
+        self.emit(reply);
+        seq
     }
 
-    fn submit(&self, req: SolveRequest, raw: Option<&str>) -> u64 {
-        let seq = self.next_seq();
-        let reject = |reason: RejectReason, detail: String| {
-            self.emit(ServeReply {
-                seq,
-                id: req.id.clone(),
-                tenant: req.tenant.clone(),
-                downgraded: false,
-                elapsed_ms: 0.0,
-                outcome: ServeOutcome::Rejected { reason, detail },
-            });
+    /// The gates a worker runs on a queued entry, in order: decode and
+    /// parse, digest, quarantine, then the tenant bucket charged at the
+    /// arrival time. `Err` is the entry's rejection reply.
+    fn admit(&self, entry: Entry) -> Result<Admitted, ServeReply> {
+        let Entry { seq, work, arrived_nanos } = entry;
+        let (req, raw) = match work {
+            Work::Typed(req) => (*req, None),
+            Work::Line(bytes) => match parse_line(bytes) {
+                Ok((req, text)) => (req, Some(text)),
+                Err(invalid) => {
+                    return Err(self.rejection(seq, None, RejectReason::Invalid, invalid))
+                }
+            },
         };
-        if self.draining.load(Ordering::SeqCst) {
-            self.stats.rejected_shutting_down.fetch_add(1, Ordering::Relaxed);
-            reject(RejectReason::ShuttingDown, "server is draining".into());
-            return seq;
-        }
         let key = (hash_instance(&req.apps, &req.platform), hash_spec(&req.problem));
         if self.quarantine.is_quarantined(&key) {
-            self.stats.rejected_quarantined.fetch_add(1, Ordering::Relaxed);
-            reject(
-                RejectReason::Quarantined,
-                format!("digest struck {} times", self.quarantine.threshold()),
-            );
-            return seq;
+            let detail = format!("digest struck {} times", self.quarantine.threshold());
+            return Err(self.rejection(seq, Some(req), RejectReason::Quarantined, detail));
         }
         let tenant = req.tenant.as_deref().unwrap_or("");
-        if !self.governor.admit(tenant, self.now_nanos()) {
-            self.stats.rejected_rate_limited.fetch_add(1, Ordering::Relaxed);
-            reject(RejectReason::RateLimited, format!("tenant `{tenant}` is out of tokens"));
-            return seq;
+        if !self.governor.admit(tenant, arrived_nanos) {
+            let detail = format!("tenant `{tenant}` is out of tokens");
+            return Err(self.rejection(seq, Some(req), RejectReason::RateLimited, detail));
         }
-        let raw = raw.map(Box::from);
-        let entry = Entry { seq, req, raw, key, admitted_nanos: self.now_nanos() };
-        match self.queue.push(entry) {
-            Ok(()) => {
-                self.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(entry) => {
-                let detail = format!("queue at capacity {}", self.cfg.queue_capacity);
-                self.stats.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                self.emit(ServeReply {
-                    seq: entry.seq,
-                    id: entry.req.id,
-                    tenant: entry.req.tenant,
-                    downgraded: false,
-                    elapsed_ms: 0.0,
-                    outcome: ServeOutcome::Rejected { reason: RejectReason::QueueFull, detail },
-                });
-            }
+        self.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        Ok(Admitted { seq, req, raw, key, arrived_nanos })
+    }
+
+    /// A rejection reply, counted under its reason; it echoes the
+    /// request's id and tenant when the request parsed.
+    fn rejection(
+        &self,
+        seq: u64,
+        req: Option<SolveRequest>,
+        reason: RejectReason,
+        detail: String,
+    ) -> ServeReply {
+        let counter = match reason {
+            RejectReason::QueueFull => &self.stats.rejected_queue_full,
+            RejectReason::RateLimited => &self.stats.rejected_rate_limited,
+            RejectReason::Quarantined => &self.stats.rejected_quarantined,
+            RejectReason::ShuttingDown => &self.stats.rejected_shutting_down,
+            RejectReason::Invalid => &self.stats.rejected_invalid,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let (id, tenant) = req.map_or((None, None), |r| (r.id, r.tenant));
+        ServeReply {
+            seq,
+            id,
+            tenant,
+            downgraded: false,
+            elapsed_ms: 0.0,
+            outcome: ServeOutcome::Rejected { reason, detail },
         }
-        seq
     }
 
     fn now_nanos(&self) -> u64 {
@@ -488,7 +540,7 @@ impl Inner {
 
     /// Strike the digest; on the first strike, hand the request to the
     /// failure hook for bundle export.
-    fn register_failure(&self, entry: &Entry, kind: FailureKind, message: &str) {
+    fn register_failure(&self, entry: &Admitted, kind: FailureKind, message: &str) {
         self.stats.strikes.fetch_add(1, Ordering::Relaxed);
         let strikes = self.quarantine.strike(entry.key);
         if strikes == 1 {
@@ -501,16 +553,31 @@ impl Inner {
     }
 }
 
+/// The decoded text of a raw line and the request parsed from it, or the
+/// `Rejected{Invalid}` detail.
+fn parse_line(bytes: Vec<u8>) -> Result<(SolveRequest, String), String> {
+    serde_json_error::from_utf8_owned(bytes)
+        .and_then(|text| Ok((SolveRequest::from_json(&text)?, text)))
+        .map_err(|e| format!("unparseable request: {e}"))
+}
+
 fn worker_loop(inner: &Inner) {
     let mut scratch = RouterScratch::new();
     while let Some(entry) = inner.queue.pop() {
+        let entry = match inner.admit(entry) {
+            Ok(entry) => entry,
+            Err(rejection) => {
+                inner.emit(rejection);
+                continue;
+            }
+        };
         // Everything needed for the panic-arm reply is cloned out
         // before the guarded section: a worker panic can poison the
         // request processing, never the reply obligation.
         let seq = entry.seq;
         let id = entry.req.id.clone();
         let tenant = entry.req.tenant.clone();
-        let admitted = entry.admitted_nanos;
+        let arrived = entry.arrived_nanos;
         let result = catch_unwind(AssertUnwindSafe(|| process(inner, &entry, &mut scratch)));
         let (outcome, downgraded) = match result {
             Ok(v) => v,
@@ -521,7 +588,7 @@ fn worker_loop(inner: &Inner) {
                 (ServeOutcome::Failed { reason }, false)
             }
         };
-        let elapsed_nanos = inner.now_nanos().saturating_sub(admitted);
+        let elapsed_nanos = inner.now_nanos().saturating_sub(arrived);
         match &outcome {
             ServeOutcome::Done { .. } => {
                 inner.stats.done.fetch_add(1, Ordering::Relaxed);
@@ -556,9 +623,9 @@ fn worker_loop(inner: &Inner) {
 
 /// Process one accepted request on a worker. Runs under the worker's
 /// `catch_unwind`; returns the typed verdict plus the downgrade flag.
-fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeOutcome, bool) {
+fn process(inner: &Inner, entry: &Admitted, scratch: &mut RouterScratch) -> (ServeOutcome, bool) {
     let req = &entry.req;
-    let elapsed_ms = || inner.now_nanos().saturating_sub(entry.admitted_nanos) / 1_000_000;
+    let elapsed_ms = || inner.now_nanos().saturating_sub(entry.arrived_nanos) / 1_000_000;
 
     // Chaos verdict first: injected faults model infrastructure failure,
     // which does not wait for the request to be cheap.
@@ -578,7 +645,7 @@ fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeO
 
     // Deadline gate 1: dead on arrival (queueing ate the budget).
     let mut downgraded = false;
-    let mut spec = None;
+    let mut downgrade = None;
     if let Some(budget_ms) = req.deadline_ms {
         let waited = elapsed_ms();
         if waited > budget_ms {
@@ -609,7 +676,7 @@ fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeO
                     if let Ok(p2) = plan(&req.apps, &req.platform, &cheap) {
                         let est2 = p2.cost_estimate(&req.apps, &req.platform, &cheap) / units;
                         if waited + est2 <= budget_ms {
-                            spec = Some(cheap);
+                            downgrade = Some(cheap);
                             downgraded = true;
                             shed = false;
                         }
@@ -630,8 +697,13 @@ fn process(inner: &Inner, entry: &Entry, scratch: &mut RouterScratch) -> (ServeO
         }
     }
 
-    let spec = spec.as_ref().unwrap_or(&req.problem);
-    let result = inner.engine.solve_with(&req.apps, &req.platform, spec, scratch);
+    // The digest from admission keys the cache; a downgraded spec hashes
+    // its own spec part.
+    let (spec, key) = match &downgrade {
+        Some(cheap) => (cheap, (entry.key.0, hash_spec(cheap))),
+        None => (&req.problem, entry.key),
+    };
+    let result = inner.engine.solve_keyed(key, &req.apps, &req.platform, spec, scratch);
 
     // The engine's panic backstop degrades solver panics to typed
     // `Unsupported` outcomes; recognize them and charge a strike so a

@@ -16,7 +16,8 @@ const BUCKETS: usize = 48;
 
 /// Live counters (one instance per server, shared by all workers).
 pub struct ServeStats {
-    /// Requests admitted into the queue.
+    /// Requests that passed the worker-side gates (parse, quarantine,
+    /// tenant bucket) and went on to be solved.
     pub accepted: AtomicU64,
     /// Replies whose outcome is `Done` (solved, infeasible or
     /// unsupported — a typed solver answer).

@@ -6,8 +6,11 @@
 //! client exhausts *its own* bucket and gets typed `Rejected{rate_limited}`
 //! replies while everyone else's tokens are untouched.
 //!
-//! Time is an explicit nanosecond argument (the server feeds its
-//! monotonic clock) so tests can replay any schedule deterministically.
+//! Time is an explicit nanosecond argument (the server feeds each
+//! request's arrival time on its monotonic clock) so tests can replay any
+//! schedule deterministically. Workers charge arrivals out of order, so a
+//! bucket's clock only moves forward: a call older than the bucket's last
+//! one refills nothing and leaves the clock where it is.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -36,7 +39,7 @@ impl TenantGovernor {
     }
 
     /// Charge one token to `tenant` at time `now_nanos`. `false` means
-    /// the bucket is empty — reject, the bucket is left untouched.
+    /// the bucket is empty — reject, no token is taken.
     pub fn admit(&self, tenant: &str, now_nanos: u64) -> bool {
         if self.rate_per_sec == 0.0 {
             return true;
@@ -47,7 +50,7 @@ impl TenantGovernor {
             .or_insert(Bucket { tokens: self.burst, last_nanos: now_nanos });
         let dt = now_nanos.saturating_sub(bucket.last_nanos) as f64 * 1e-9;
         bucket.tokens = (bucket.tokens + dt * self.rate_per_sec).min(self.burst);
-        bucket.last_nanos = now_nanos;
+        bucket.last_nanos = bucket.last_nanos.max(now_nanos);
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
             true
@@ -100,6 +103,28 @@ mod tests {
         assert!(g.admit("a", 3600 * SEC));
         assert!(g.admit("a", 3600 * SEC));
         assert!(!g.admit("a", 3600 * SEC));
+    }
+
+    #[test]
+    fn out_of_order_calls_never_credit_an_interval_twice() {
+        // Tokens granted when each call drains the bucket at its time,
+        // starting from an empty bucket at t=0: every token the refill
+        // credited by the last call.
+        let granted = |times: &[u64]| {
+            let g = TenantGovernor::new(1.0, 100.0);
+            while g.admit("a", 0) {}
+            let mut n = 0;
+            for &t in times {
+                while g.admit("a", t * SEC) {
+                    n += 1;
+                }
+            }
+            n
+        };
+        assert_eq!(granted(&[5, 10, 11]), 11);
+        // A late 5 s call must not rewind the clock, or the 11 s call
+        // would be credited 5..10 s a second time.
+        assert_eq!(granted(&[10, 5, 11]), 11);
     }
 
     #[test]

@@ -382,14 +382,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The drain contract under fire: for every thread count and chaos
-    /// seed, every submitted request receives exactly one reply — a
-    /// solver verdict, a typed rejection, or a typed failure — and every
-    /// accepted request is answered by a worker.
+    /// seed, every submitted request — typed, or a raw line that is
+    /// valid, garbage or not UTF-8 — receives exactly one reply: a solver
+    /// verdict, a typed rejection, or a typed failure. Every request that
+    /// passed the worker-side gates is answered by a worker.
     #[test]
     fn every_request_is_answered_exactly_once_under_panics(
         threads_idx in 0usize..4,
         seed in 0u64..10_000,
         n in 16u32..48,
+        mix in 0u64..u64::MAX,
     ) {
         let threads = [1usize, 2, 4, 8][threads_idx];
         let (sink, replies) = collecting_sink();
@@ -400,8 +402,31 @@ proptest! {
             ..serve_cfg(threads)
         };
         let server = Server::start(cfg, sink, ServerHooks::default());
-        for i in 0..n {
-            server.submit(distinct_request(i % 24));
+        // Two bits of `mix` per submission pick its kind: typed, a valid
+        // line, a garbage line or an undecodable one.
+        let kinds: Vec<u64> = (0..n).map(|i| mix.rotate_right(2 * i) & 3).collect();
+        let mut want = std::collections::HashMap::new();
+        for (i, &kind) in kinds.iter().enumerate() {
+            let req = distinct_request(i as u32 % 24);
+            let id = match kind {
+                0 => {
+                    server.submit(req.clone());
+                    req.id
+                }
+                1 => {
+                    server.submit_line(req.to_json_compact().unwrap());
+                    req.id
+                }
+                2 => {
+                    server.submit_line(format!("{{\"garbage\": {i}"));
+                    None
+                }
+                _ => {
+                    server.submit_line(b"{\"id\":\"\xc3\x28\"}");
+                    None
+                }
+            };
+            *want.entry(id).or_insert(0u32) += 1;
         }
         let stats = server.drain();
         let replies = replies.lock();
@@ -410,16 +435,16 @@ proptest! {
         prop_assert_eq!(replies.len() as u32, n);
         prop_assert_eq!(stats.replies() as u32, n);
         // …and per-id reply counts exactly match per-id submission
-        // counts (no id dropped, none answered twice).
+        // counts (no id dropped, none answered twice; the id-less ones
+        // are the garbage and undecodable lines).
         let mut got = std::collections::HashMap::new();
         for r in replies.iter() {
             *got.entry(r.id.clone()).or_insert(0u32) += 1;
         }
-        let mut want = std::collections::HashMap::new();
-        for i in 0..n {
-            *want.entry(Some(format!("id-{}", i % 24))).or_insert(0u32) += 1;
-        }
         prop_assert_eq!(got, want);
+        // Garbage is rejected as invalid whichever thread answers it.
+        let garbage = kinds.iter().filter(|&&k| k >= 2).count() as u64;
+        prop_assert_eq!(stats.rejected_invalid, garbage);
         // Every accepted request got a worker verdict (Done / Deadline /
         // Failed — never silently dropped).
         let worker_replies = stats.done + stats.deadline_dequeue + stats.deadline_plan + stats.failed;
